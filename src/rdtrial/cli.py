@@ -19,6 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .cohort import Cohort, read_cohort_csv, write_cohort_csv
@@ -205,6 +206,7 @@ def emit_report(report: RdDoReport, out_dir: str | Path) -> dict[str, Path]:
             "rdtrial": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
     }
     manifest_path = out / "run_manifest.json"
@@ -237,10 +239,8 @@ def _cmd_rddo(args) -> int:
         overrides["out_dir"] = str(Path(args.out).resolve())
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {args.threads}")
-        overrides["threads"] = args.threads
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
     if overrides:
         from dataclasses import replace
         config = replace(config, **overrides)
@@ -573,7 +573,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cohort", help="cohort CSV (overrides config)")
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="seed (overrides config)")
-    p.add_argument("--threads", type=int, help="worker threads (does not change output)")
+    p.add_argument("--threads", type=int,
+                   help="accepted for older scripts, no effect: runs on one thread")
     p.set_defaults(func=_cmd_rddo)
 
     p = sub.add_parser("infer", help="single posterior query")

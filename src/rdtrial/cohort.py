@@ -122,18 +122,3 @@ def encode_columns(
             arr[r] = code
         out[name] = arr
     return out
-
-
-def rows_as_dicts(encoded: dict[str, np.ndarray]) -> list[dict[str, int]]:
-    """Row-major view of encoded columns, omitting missing entries."""
-    names = list(encoded)
-    n = len(next(iter(encoded.values()))) if encoded else 0
-    out: list[dict[str, int]] = []
-    for r in range(n):
-        row = {}
-        for name in names:
-            v = int(encoded[name][r])
-            if v >= 0:
-                row[name] = v
-        out.append(row)
-    return out

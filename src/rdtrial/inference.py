@@ -109,11 +109,8 @@ def _multiply(a: _Factor, b: _Factor, cards: Sequence[int]) -> _Factor:
         shape = [1] * len(union)
         for v in f.vars:
             shape[pos[v]] = cards[v]
-        src_axes = [pos[v] for v in f.vars]
-        t = f.table
-        if list(src_axes) != sorted(src_axes):  # pragma: no cover - vars sorted
-            t = np.moveaxis(t, range(len(src_axes)), src_axes)
-        return t.reshape(shape)
+        # both scopes are sorted, so inserting unit axes keeps the order
+        return f.table.reshape(shape)
 
     return _Factor(union, expand(a) * expand(b))
 
@@ -132,9 +129,6 @@ def _min_degree_order(scopes: list[tuple[int, ...]], eliminate: set[int]) -> lis
             for w in inside[i + 1:]:
                 adj[v].add(w)
                 adj[w].add(v)
-        outside = [v for v in scope if v not in eliminate]
-        # moral connections to kept variables do not matter for ordering
-        del outside
     order: list[int] = []
     remaining = set(eliminate)
     while remaining:

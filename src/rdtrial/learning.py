@@ -8,7 +8,6 @@ integer-count shortcut and the M-step is the same counts-to-CPT code path.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (
     InsufficientPositives,
     NonFiniteLikelihood,
 )
-from .model import Cpt, DiscreteNetwork, parent_config_index
+from .model import Cpt, DiscreteNetwork
 from . import inference
 
 Columns = dict[str, np.ndarray]  # state indices per node; -1 means missing
@@ -132,36 +131,22 @@ def _family_posterior(
     cpt = net.cpts[child]
     family = list(cpt.parents) + [child]
     hidden = [f for f in family if f not in evidence]
-    if not hidden:
-        out = np.zeros((cpt.n_configs, net.card(child)))
-        cfg = parent_config_index(
-            [net.card(p) for p in cpt.parents], [evidence[p] for p in cpt.parents]
+    grid = np.zeros([net.card(f) for f in family])
+    at = tuple(slice(None) if f in hidden else evidence[f] for f in family)
+    if hidden:
+        table, _, kept = inference._eliminate_all(
+            net, {net.index(h) for h in hidden}, evidence
         )
-        out[cfg, evidence[child]] = 1.0
-        return out
-    keep = {net.index(h) for h in hidden}
-    table, _, kept = inference._eliminate_all(net, keep, evidence)
-    total = float(table.sum())
-    if total <= 0.0:
-        raise NonFiniteLikelihood(f"pattern {evidence!r} has probability zero")
-    table = table / total
-    # expand to the full family grid
-    kept_names = [net.variables[i].name for i in kept]
-    out = np.zeros((cpt.n_configs, net.card(child)))
-    parent_cards = [net.card(p) for p in cpt.parents]
-    grids = []
-    for f in family:
-        if f in evidence:
-            grids.append([evidence[f]])
-        else:
-            grids.append(range(net.card(f)))
-    for combo in itertools.product(*grids):
-        asg = dict(zip(family, combo))
-        idx = tuple(asg[n] for n in kept_names)
-        p = float(table[idx]) if idx else float(table)
-        cfg = parent_config_index(parent_cards, [asg[q] for q in cpt.parents])
-        out[cfg, asg[child]] += p
-    return out
+        total = float(table.sum())
+        if total <= 0.0:
+            raise NonFiniteLikelihood(f"pattern {evidence!r} has probability zero")
+        # VE returns axes in global index order; the grid wants family order
+        axes = [kept.index(net.index(h)) for h in hidden]
+        grid[at] = np.transpose(table / total, axes)
+    else:
+        grid[at] = 1.0
+    # C order over (parents..., child) is the CPT's mixed-radix row order
+    return grid.reshape(cpt.n_configs, -1)
 
 
 def em_fit(

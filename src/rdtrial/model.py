@@ -508,14 +508,6 @@ class DbnTemplate:
         return tuple(v for v in self.variables if v.kind == kind)
 
 
-def _template_node(var: VariableDef, t: int) -> str:
-    if var.kind == KIND_STATIC:
-        return var.name
-    if var.kind == KIND_ENTRY:
-        return node_name(var.name, "entry")
-    return node_name(var.name, t)
-
-
 def _resolve_marker(name: str, t: int, kinds: Mapping[str, str]) -> str:
     """Map a template CPT parent marker to a concrete node name at slice t."""
     base, sep, tag = name.partition("@")

@@ -16,7 +16,6 @@ their largest significant mean effect difference.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -347,7 +346,6 @@ def estimate_effects(
     mode: str,
     t: int | None = None,
     positive_state: str | None = None,
-    threads: int = 1,
 ) -> EffectTable:
     """Per-category effect sample over the window records.
 
@@ -362,9 +360,8 @@ def estimate_effects(
     query evidence is impossible are counted as failures for that category,
     so n + failures equals the window size for every category.
 
-    Queries are memoized per distinct (evidence, category) pattern; with
-    threads > 1 the distinct patterns are evaluated concurrently in a fixed
-    order, which cannot change results.
+    Each distinct evidence pattern is queried once per category, in one
+    serial pass.
     """
     if mode not in ("causal", "associational"):
         raise ValueError(f"mode must be 'causal' or 'associational', got {mode!r}")
@@ -385,48 +382,32 @@ def estimate_effects(
     excluded = set(net.outcomes.values()) | {outcome, variable}
 
     ordered = sorted(records, key=lambda r: r.record_id)
-    keys: list[tuple[tuple[str, int], ...]] = []
-    for rec in ordered:
-        ev_items = tuple(sorted(
+    keys = [
+        tuple(sorted(
             (name, st) for name, st in rec.evidence.items()
             if name not in excluded and slice_rank(name) <= s
         ))
-        keys.append(ev_items)
-
-    unique = list(dict.fromkeys(keys))
-    cache: dict[tuple[int, tuple[tuple[str, int], ...]], float | None] = {}
-    jobs = [(x, key) for x in range(var.card) for key in unique]
-
-    def run(job):
-        x, key = job
-        return _effect_query(net, outcome, variable, x, dict(key), mode, pos_idx)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    for job, res in zip(jobs, results):
-        cache[job] = res
+        for rec in ordered
+    ]
+    effects = {
+        key: [
+            _effect_query(net, outcome, variable, x, dict(key), mode, pos_idx)
+            for x in range(var.card)
+        ]
+        for key in dict.fromkeys(keys)
+    }
 
     cats: list[CategoryEffect] = []
     for x in range(var.card):
-        vals: list[float] = []
-        failures = 0
-        for key in keys:
-            v = cache[(x, key)]
-            if v is None:
-                failures += 1
-            else:
-                vals.append(v)
-        arr = np.array(vals, dtype=np.float64)
+        vals = [effects[key][x] for key in keys]
+        arr = np.array([v for v in vals if v is not None], dtype=np.float64)
         arr.setflags(write=False)
         cats.append(CategoryEffect(
             category=var.states[x],
             n=int(arr.size),
             mean=float(arr.mean()) if arr.size else float("nan"),
             std=float(arr.std()) if arr.size else float("nan"),
-            failures=failures,
+            failures=vals.count(None),
             values=arr,
         ))
     t_out = int(out_rank) if t is None else int(t)
@@ -505,7 +486,6 @@ class RunConfig:
     thresholds: Mapping[int, float] | str = "youden"
     split: tuple[float, float, float] | None = (0.6, 0.2, 0.2)
     seed: int = 0
-    threads: int = 1
 
 
 _CONFIG_KEYS = {
@@ -550,7 +530,7 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
         k_max = int(k_max)
         if k_max < k_min:
             raise ConfigError(f"k_max = {k_max} is below k_min = {k_min}")
-    threads = int(doc.get("threads", 1))
+    threads = int(doc.get("threads", 1))  # accepted, no effect: effects run serially
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
@@ -633,7 +613,6 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
         thresholds=thresholds,
         split=split,
         seed=int(doc.get("seed", 0)),
-        threads=threads,
     )
 
 
@@ -726,8 +705,7 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
     effect estimation for every requested variable preceding t, in every
     requested mode. Time points with no randomized window are reported as
     such, not fatal. The time point whose window has the highest power is
-    flagged as best. Fixed config implies byte-identical reports regardless
-    of the thread count.
+    flagged as best. A fixed config gives byte-identical reports.
     """
     net = _resolve_net(config)
     cohort_path = Path(config.cohort_path)
@@ -837,7 +815,6 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
                     tbl = estimate_effects(
                         net, members, variable, out_node, mode,
                         t=t, positive_state=config.positive_state,
-                        threads=config.threads,
                     )
                 except NoCausalPath as exc:
                     rejected.append(RejectedQuery(

@@ -179,7 +179,6 @@ def test_acceptance_4_end_to_end_pipeline(tmp_path):
         split=None,
         k_min=200,
         k_step=500,
-        threads=1,
     )
     t0 = time.perf_counter()
     report = run_rd_do(config)
@@ -395,7 +394,6 @@ def _timed_run(tmp_path, n, tag):
         k_min=200,
         k_step=200,
         k_max=2000,
-        threads=1,
     )
     best = math.inf
     for _ in range(3):

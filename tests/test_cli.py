@@ -153,11 +153,12 @@ def test_rddo_end_to_end_files_and_determinism(tmp_path, capsys):
     manifest = json.loads((out1 / "run_manifest.json").read_text())
     assert manifest["config_sha256"]
     assert manifest["versions"]["rdtrial"]
+    assert manifest["versions"]["scipy"]
 
     # identical config, fresh directory: byte-identical effects
     out2 = tmp_path / "out2"
     assert dispatch(["rddo", "--config", str(config_path), "--out", str(out2)]) == 0
-    # different worker count: still byte-identical
+    # --threads is accepted and changes nothing
     out3 = tmp_path / "out3"
     assert dispatch([
         "rddo", "--config", str(config_path), "--out", str(out3), "--threads", "3",

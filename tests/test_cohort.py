@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rdtrial.cohort import Cohort, encode_columns, read_cohort_csv, rows_as_dicts, write_cohort_csv
+from rdtrial.cohort import Cohort, encode_columns, read_cohort_csv, write_cohort_csv
 from rdtrial.errors import DataError, UnknownState, UnknownVariable
 
 from helpers import chain_network
@@ -69,8 +69,3 @@ def test_encode_columns_unknown_state_names_context():
     cohort = Cohort(columns=("a",), rows=[("2",)], ids=np.array([41]))
     with pytest.raises(UnknownState, match=r"record 41, column 'a'"):
         encode_columns(net, cohort)
-
-
-def test_rows_as_dicts_drops_missing():
-    enc = {"a": np.array([0, 1]), "b": np.array([1, -1])}
-    assert rows_as_dicts(enc) == [{"a": 0, "b": 1}, {"a": 1}]

@@ -14,9 +14,17 @@ from rdtrial.errors import (
     InsufficientPositives,
     NonFiniteLikelihood,
 )
-from rdtrial.learning import em_fit, mle_fit, outcome_labels, stratified_split, undersample
+from rdtrial.inference import dense_joint
+from rdtrial.learning import (
+    _family_posterior,
+    em_fit,
+    mle_fit,
+    outcome_labels,
+    stratified_split,
+    undersample,
+)
 from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
-from rdtrial.synth import confounded_triple
+from rdtrial.synth import confounded_triple, make_confounded_scenario
 
 from helpers import random_network
 
@@ -80,6 +88,52 @@ def test_mle_empty_parent_configuration():
 # ---------------------------------------------------------------------------
 # EM
 # ---------------------------------------------------------------------------
+
+def _family_oracle(net: DiscreteNetwork, child: str, evidence: dict[str, int]) -> np.ndarray:
+    """P(parents, child | evidence) from the dense joint, in CPT row order."""
+    joint = dense_joint(net)
+    for name, state in evidence.items():
+        one_hot = np.zeros(net.card(name))
+        one_hot[state] = 1.0
+        shape = [1] * joint.ndim
+        shape[net.index(name)] = -1
+        joint = joint * one_hot.reshape(shape)
+    family = [*net.cpts[child].parents, child]
+    axes = [net.index(f) for f in family]
+    fam = joint.sum(axis=tuple(i for i in range(joint.ndim) if i not in axes))
+    # the summed table keeps the family axes in global index order
+    fam = np.transpose(fam, [sorted(axes).index(a) for a in axes])
+    return (fam / fam.sum()).reshape(net.cpts[child].n_configs, -1)
+
+
+# Both families declare their parents out of global index order: y has
+# parents (x, z) with z declared first, and the scenario's outcome@1 has
+# parents (treat@0, conf@0, shift_a@1, shift_b@1) with conf@0 declared first.
+_TRIPLE = confounded_triple()
+_SCENARIO = make_confounded_scenario(n=10, seed=0).network
+
+
+@pytest.mark.parametrize("net, child, evidence", [
+    (_TRIPLE, "y", {}),
+    (_TRIPLE, "y", {"x": 1}),
+    (_TRIPLE, "y", {"y": 1}),
+    (_TRIPLE, "y", {"x": 1, "z": 0, "y": 1}),
+    (_SCENARIO, "outcome@1", {"cov_a@0": 2}),
+    (_SCENARIO, "outcome@1", {"treat@0": 1, "shift_a@1": 2, "cov_b@0": 0}),
+    (_SCENARIO, "outcome@1", {"outcome@1": 1, "marker@0": 1}),
+    (_SCENARIO, "outcome@1", {"treat@0": 0, "conf@0": 1, "shift_a@1": 1,
+                              "shift_b@1": 0, "outcome@1": 1, "noise@0": 2}),
+], ids=[
+    "triple-all-hidden", "triple-some-hidden", "triple-child-observed",
+    "triple-all-observed", "scenario-all-hidden", "scenario-some-hidden",
+    "scenario-child-observed", "scenario-all-observed",
+])
+def test_family_posterior_matches_dense_joint(net, child, evidence):
+    got = _family_posterior(net, child, evidence)
+    want = _family_oracle(net, child, evidence)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
 
 def test_em_single_iteration_hand_values():
     # rows: (x=1, y=1), (x=1, y=0), (x missing, y=1), uniform start.

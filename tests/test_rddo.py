@@ -408,18 +408,6 @@ def test_estimate_effects_drops_later_slice_evidence():
     assert table.categories[yes].values[0] == pytest.approx(want, abs=1e-15)
 
 
-def test_estimate_effects_threads_do_not_change_bits():
-    spec = make_confounded_scenario(n=300, seed=6)
-    cohort = sample_cohort(spec)
-    scored = score_cohort(spec.network, cohort, t=1, outcome=spec.outcome)
-    one = estimate_effects(spec.network, scored.records, "treat@0", spec.outcome,
-                           "causal", threads=1)
-    four = estimate_effects(spec.network, scored.records, "treat@0", spec.outcome,
-                            "causal", threads=4)
-    for a, b in zip(one.categories, four.categories):
-        assert np.array_equal(a.values, b.values)
-
-
 def test_estimate_effects_record_order_is_by_id():
     net = confounded_triple()
     records = [
@@ -498,6 +486,9 @@ def test_parse_run_config_defaults_and_paths(tmp_path):
     assert config.modes == ("associational", "causal")
     assert config.thresholds == "youden"
     assert config.split == (0.6, 0.2, 0.2)
+    # threads is accepted for older configs but reaches no part of the run
+    assert parse_run_config({"model": "m.json", "cohort": "c.csv", "threads": 4},
+                            tmp_path) == config
 
 
 def test_parse_run_config_rejections(tmp_path):
@@ -514,6 +505,8 @@ def test_parse_run_config_rejections(tmp_path):
         parse_run_config({**good, "split": [0.5, 0.2, 0.2]}, tmp_path)
     with pytest.raises(ConfigError, match="thresholds"):
         parse_run_config({**good, "thresholds": "roc"}, tmp_path)
+    with pytest.raises(ConfigError, match="threads"):
+        parse_run_config({**good, "threads": 0}, tmp_path)
     with pytest.raises(ConfigError, match="model"):
         parse_run_config({"cohort": "c.csv"}, tmp_path)
 
