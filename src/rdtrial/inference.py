@@ -81,24 +81,16 @@ class _Factor:
 
 
 def _cpt_factor(net: DiscreteNetwork, cpt: Cpt, evidence: Mapping[str, int]) -> _Factor:
-    """CPT as a factor with evidence-observed axes sliced away."""
-    scope = [net.index(p) for p in cpt.parents] + [net.index(cpt.child)]
-    cards = [net.variables[i].card for i in scope]
-    table = cpt.rows.reshape(cards)
-    # sort axes by global variable index
-    order = np.argsort(scope, kind="stable")
-    table = np.transpose(table, order)
-    svars = [scope[i] for i in order]
-    # slice observed axes (iterate from the back so axis numbers stay valid)
-    keep: list[int] = []
-    for axis in range(len(svars) - 1, -1, -1):
-        name = net.variables[svars[axis]].name
-        if name in evidence:
-            table = np.take(table, evidence[name], axis=axis)
-        else:
-            keep.append(svars[axis])
-    keep.reverse()
-    return _Factor(tuple(keep), np.ascontiguousarray(table, dtype=np.float64))
+    """CPT as a factor: slice the observed axes, then order the rest by index."""
+    names = (*cpt.parents, cpt.child)
+    table = cpt.rows.reshape([net.card(n) for n in names])
+    table = table[tuple(evidence.get(n, slice(None)) for n in names)]
+    free = [net.index(n) for n in names if n not in evidence]
+    perm = sorted(range(len(free)), key=free.__getitem__)
+    return _Factor(
+        tuple(free[a] for a in perm),
+        np.ascontiguousarray(table.transpose(perm), dtype=np.float64),
+    )
 
 
 def _multiply(a: _Factor, b: _Factor, cards: Sequence[int]) -> _Factor:
@@ -155,6 +147,7 @@ def _eliminate_all(
     the evidence is impossible: the caller decides whether that raises.
     """
     cards = [v.card for v in net.variables]
+    kept = tuple(sorted(keep))
     factors = [_cpt_factor(net, net.cpts[v.name], evidence) for v in net.variables]
 
     log_scale = 0.0
@@ -166,7 +159,7 @@ def _eliminate_all(
         else:
             scalar *= float(f.table.item())
     if scalar == 0.0:
-        return np.zeros([cards[v] for v in sorted(keep)]), 0.0, tuple(sorted(keep))
+        return np.zeros([cards[k] for k in kept]), 0.0, kept
 
     evid_idx = {net.index(n) for n in evidence}
     all_vars = set(range(len(cards)))
@@ -174,15 +167,14 @@ def _eliminate_all(
 
     if elimination_order is not None:
         order = [net.index(n) for n in elimination_order]
-        if set(order) != to_eliminate:
-            raise ValueError("elimination_order must cover exactly the non-kept, non-evidence variables")
+        if sorted(order) != sorted(to_eliminate):
+            raise ValueError("elimination_order must name each non-kept, non-evidence variable exactly once")
     else:
         order = _min_degree_order([f.vars for f in live], to_eliminate)
 
     for v in order:
+        # never empty: v's own CPT factor, or a product holding it, is live
         group = [f for f in live if v in f.vars]
-        if not group:
-            continue
         live = [f for f in live if v not in f.vars]
         prod = group[0]
         for g in group[1:]:
@@ -190,7 +182,7 @@ def _eliminate_all(
         summed = _sum_out(prod, v)
         total = float(summed.table.sum())
         if total <= 0.0:
-            return np.zeros([cards[k] for k in sorted(keep)]), 0.0, tuple(sorted(keep))
+            return np.zeros([cards[k] for k in kept]), 0.0, kept
         if summed.vars:
             summed = _Factor(summed.vars, summed.table / total)
             log_scale += math.log(total)
@@ -198,20 +190,15 @@ def _eliminate_all(
         else:
             scalar *= total
             if scalar == 0.0:
-                return np.zeros([cards[k] for k in sorted(keep)]), 0.0, tuple(sorted(keep))
+                return np.zeros([cards[k] for k in kept]), 0.0, kept
 
-    kept = tuple(sorted(keep))
     if not kept:
         return np.asarray(scalar, dtype=np.float64).reshape(()), log_scale, kept
 
-    result: _Factor | None = None
-    for f in live:
-        result = f if result is None else _multiply(result, f, cards)
-    if result is None:
-        table = np.full([cards[k] for k in kept], scalar)
-        # no factor mentioned the kept vars: they are uniform only if the
-        # network says so; this cannot happen for CPT-complete networks.
-        return table, log_scale, kept
+    # every kept variable's own CPT factor is still live
+    result = live[0]
+    for f in live[1:]:
+        result = _multiply(result, f, cards)
     # fold the scalar into the log scale, never into the table: normalized
     # queries must be bit-identical under evidence that only rescales
     if scalar != 1.0:

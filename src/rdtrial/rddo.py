@@ -725,25 +725,15 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
     outcome_by_t = {t: _outcome_node(net, config, t) for t in time_points}
     outcome_nodes = set(outcome_by_t.values())
 
-    if isinstance(config.variables, str):  # "all-prior"
-        variables_by_t = {
-            t: tuple(
-                name for name in net.names
-                if slice_rank(name) < t and name not in outcome_nodes
-            )
-            for t in time_points
-        }
-    else:
-        for v in config.variables:
-            if v not in net:
-                raise ConfigError(f"variable {v!r} is not in the model")
-        variables_by_t = {
-            t: tuple(
-                v for v in config.variables
-                if slice_rank(v) < t and v not in outcome_nodes
-            )
-            for t in time_points
-        }
+    # "all-prior" takes every model variable as a candidate
+    candidates = net.names if isinstance(config.variables, str) else config.variables
+    for v in candidates:
+        if v not in net:
+            raise ConfigError(f"variable {v!r} is not in the model")
+    variables_by_t = {
+        t: tuple(v for v in candidates if slice_rank(v) < t and v not in outcome_nodes)
+        for t in time_points
+    }
 
     if config.covariates is None:
         covariates = _default_covariates(net, cohort, outcome_nodes)
@@ -783,49 +773,36 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
                 k_step=config.k_step, k_max=config.k_max,
             )
         except TooFewRecords as exc:
-            results.append(TimePointResult(
-                t=t, outcome=out_node, status="no_random_window",
-                reason=str(exc), threshold=thr,
-                n_scored=len(scoring.records),
-                n_missing_outcome=len(scoring.missing_outcome),
-                n_zero_probability=len(scoring.zero_probability),
-                n_windows=0, window=None, tables=(), rejected=(),
-            ))
-            continue
-        window = select_window(reports)
-        if window is None:
-            results.append(TimePointResult(
-                t=t, outcome=out_node, status="no_random_window",
-                reason="no window passed the covariate gate", threshold=thr,
-                n_scored=len(scoring.records),
-                n_missing_outcome=len(scoring.missing_outcome),
-                n_zero_probability=len(scoring.zero_probability),
-                n_windows=len(reports), window=None, tables=(), rejected=(),
-            ))
-            continue
+            reports, window, reason = [], None, str(exc)
+        else:
+            window = select_window(reports)
+            reason = None if window is not None else "no window passed the covariate gate"
 
-        by_id = {r.record_id: r for r in scoring.records}
-        members = [by_id[int(rid)] for rid in window.member_ids]
         tables: list[EffectTable] = []
         rejected: list[RejectedQuery] = []
-        for mode in config.modes:
-            mode_tables = []
-            for variable in variables_by_t[t]:
-                try:
-                    tbl = estimate_effects(
-                        net, members, variable, out_node, mode,
-                        t=t, positive_state=config.positive_state,
-                    )
-                except NoCausalPath as exc:
-                    rejected.append(RejectedQuery(
-                        variable=variable, mode=mode,
-                        error="NoCausalPath", detail=str(exc),
-                    ))
-                    continue
-                mode_tables.append(tbl)
-            tables.extend(rank_effects(mode_tables, alpha=config.alpha))
+        if window is not None:
+            by_id = {r.record_id: r for r in scoring.records}
+            members = [by_id[int(rid)] for rid in window.member_ids]
+            for mode in config.modes:
+                mode_tables = []
+                for variable in variables_by_t[t]:
+                    try:
+                        tbl = estimate_effects(
+                            net, members, variable, out_node, mode,
+                            t=t, positive_state=config.positive_state,
+                        )
+                    except NoCausalPath as exc:
+                        rejected.append(RejectedQuery(
+                            variable=variable, mode=mode,
+                            error="NoCausalPath", detail=str(exc),
+                        ))
+                        continue
+                    mode_tables.append(tbl)
+                tables.extend(rank_effects(mode_tables, alpha=config.alpha))
         results.append(TimePointResult(
-            t=t, outcome=out_node, status="ok", reason=None, threshold=thr,
+            t=t, outcome=out_node,
+            status="ok" if window is not None else "no_random_window",
+            reason=reason, threshold=thr,
             n_scored=len(scoring.records),
             n_missing_outcome=len(scoring.missing_outcome),
             n_zero_probability=len(scoring.zero_probability),

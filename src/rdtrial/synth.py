@@ -24,7 +24,7 @@ import numpy as np
 from .cohort import Cohort
 from .errors import TooLargeForEnumeration, UnknownState
 from .inference import dense_joint, posterior
-from .model import Cpt, DiscreteNetwork, VariableDef, iter_parent_configs, parse_node
+from .model import Cpt, DiscreteNetwork, VariableDef, iter_parent_configs, slice_rank
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +270,12 @@ def make_confounded_scenario(
 def _score_pattern(spec: ScenarioSpec, values: dict[str, int]) -> tuple[tuple[str, int], ...]:
     """Evidence pattern used for the injector's score: exported observations
     at slices before the outcome, plus non-outcome nodes of its slice."""
-    _, t_out = parse_node(spec.outcome)
+    t_out = slice_rank(spec.outcome)
     latent = set(spec.latent)
-    items = []
-    for name, state in values.items():
-        if name in latent or name == spec.outcome:
-            continue
-        _, tag = parse_node(name)
-        t = -1 if tag is None or tag == "entry" else int(tag)
-        if t <= int(t_out):  # non-outcome nodes of the outcome slice included
-            items.append((name, state))
-    return tuple(sorted(items))
+    return tuple(sorted(
+        (name, state) for name, state in values.items()
+        if name not in latent and name != spec.outcome and slice_rank(name) <= t_out
+    ))
 
 
 def sample_cohort(spec: ScenarioSpec) -> Cohort:

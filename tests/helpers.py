@@ -32,9 +32,8 @@ def random_network(
     cpts: dict[str, Cpt] = {}
     for i in range(n):
         k = int(rng.integers(0, min(i, max_parents) + 1))
-        parents = tuple(
-            names[j] for j in sorted(rng.choice(i, size=k, replace=False).tolist())
-        )
+        # drawn order, not sorted: CPTs must not assume parents in index order
+        parents = tuple(names[j] for j in rng.choice(i, size=k, replace=False).tolist())
         arcs.extend((p, names[i]) for p in parents)
         n_cfg = int(np.prod([cards[names.index(p)] for p in parents])) if parents else 1
         rows = rng.dirichlet(np.ones(cards[i]), size=n_cfg)

@@ -101,6 +101,8 @@ def test_elimination_order_independence():
         np.testing.assert_allclose(alt, base, atol=1e-12)
     with pytest.raises(ValueError, match="elimination_order"):
         posterior(net, "v4", {"v0": 0}, elimination_order=["v0", "v1", "v2", "v3"])
+    with pytest.raises(ValueError, match="elimination_order"):
+        posterior(net, "v4", elimination_order=["v0", "v0", "v1", "v2", "v3"])
 
 
 # ---------------------------------------------------------------------------

@@ -589,6 +589,30 @@ def test_run_rd_do_no_random_window_when_too_few_records(tmp_path):
     assert report.best_time_point is None
 
 
+def test_run_rd_do_no_random_window_when_gate_rejects_every_window(tmp_path):
+    # a strong injector unbalances the marker inside the one allowed window
+    spec = make_confounded_scenario(
+        bias=0.12, n=2000, seed=0, injector_strength=3.0, injector_offset=0.25
+    )
+    model_path, cohort_path = _write_scenario(tmp_path, spec)
+    config = RunConfig(
+        model_path=str(model_path),
+        cohort_path=str(cohort_path),
+        thresholds={1: spec.reference_threshold},
+        covariates=spec.covariates,
+        split=None,
+        k_min=1800,
+        k_max=1800,
+    )
+    report = run_rd_do(config)
+    (tp,) = report.time_points
+    assert tp.status == "no_random_window"
+    assert tp.reason == "no window passed the covariate gate"
+    assert tp.n_windows == 1
+    assert tp.tables == ()
+    assert report.best_time_point is None
+
+
 def test_run_rd_do_rejects_unknown_cohort_column(tmp_path):
     spec = make_confounded_scenario(n=30, seed=2)
     model_path = tmp_path / "model.json"
