@@ -99,6 +99,14 @@ def _ks_min_p(table, category: str) -> float | None:
     return best
 
 
+def _file_sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def emit_report(report: RdDoReport, out_dir: str | Path) -> dict[str, Path]:
     """Write report.json, effects.csv, windows.csv and run_manifest.json.
 
@@ -201,6 +209,10 @@ def emit_report(report: RdDoReport, out_dir: str | Path) -> dict[str, Path]:
     manifest = {
         "config": config_doc,
         "config_sha256": hashlib.sha256(config_json.encode("utf-8")).hexdigest(),
+        "inputs_sha256": {
+            "model": _file_sha256(report.config.model_path),
+            "cohort": _file_sha256(report.config.cohort_path),
+        },
         "seed": report.config.seed,
         "versions": {
             "rdtrial": __version__,

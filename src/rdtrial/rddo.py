@@ -16,6 +16,7 @@ their largest significant mean effect difference.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -26,7 +27,6 @@ from .cohort import Cohort, encode_columns, read_cohort_csv
 from .errors import (
     ConfigError,
     DataError,
-    DegenerateTable,
     EmptySample,
     NoCausalPath,
     TooFewRecords,
@@ -196,6 +196,11 @@ def scan_windows(
     Power comes from the window's confusion counts at the supplied
     threshold. Covariate cells missing on a record drop out of that
     covariate's table only.
+
+    All windows are tested at once: in-window counts are cumulative sums
+    over the distance order read at every window's end, and each covariate
+    takes one stacked chi2_homogeneity call whose degenerate rows (p = nan)
+    are reported as None.
     """
     n = len(records)
     if k_min < 1:
@@ -218,57 +223,37 @@ def scan_windows(
     sorted_ids.setflags(write=False)
     pred_pos = scores[order] >= threshold
     lab = labels[order]
-
-    cards = {c: net.card(c) for c in covariates}
-    codes: dict[str, np.ndarray] = {}
-    totals: dict[str, np.ndarray] = {}
-    win: dict[str, np.ndarray] = {}
-    for c in covariates:
-        col = np.array([r.evidence.get(c, -1) for r in records], dtype=np.int64)[order]
-        codes[c] = col
-        observed = col[col >= 0]
-        totals[c] = np.bincount(observed, minlength=cards[c]).astype(np.int64)
-        win[c] = np.zeros(cards[c], dtype=np.int64)
+    ks = np.arange(k_min, k_cap + 1, k_step)
+    ends = ks - 1  # position of each window's last member
+    fps = np.cumsum(pred_pos & ~lab)[ends].tolist()
+    fns = np.cumsum(~pred_pos & lab)[ends].tolist()
 
     alpha_adj = bonferroni_alpha(alpha, len(covariates)) if covariates else alpha
-    reports: list[WindowReport] = []
-    fp = 0
-    fn = 0
-    for i in range(k_cap):
-        for c in covariates:
-            v = codes[c][i]
-            if v >= 0:
-                win[c][v] += 1
-        if pred_pos[i] and not lab[i]:
-            fp += 1
-        elif not pred_pos[i] and lab[i]:
-            fn += 1
-        k = i + 1
-        if k < k_min or (k - k_min) % k_step != 0:
-            continue
-        p_values: dict[str, float | None] = {}
-        randomized = True
-        for c in covariates:
-            try:
-                p = chi2_homogeneity(win[c], totals[c] - win[c]).p_value
-            except DegenerateTable:
-                p_values[c] = None
-                continue
-            p_values[c] = p
-            if p < alpha_adj:
-                randomized = False
-        members = sorted_ids[:k]
-        reports.append(WindowReport(
+    p_by_cov: dict[str, list[float | None]] = {}
+    rejected = np.zeros(len(ks), dtype=bool)
+    for c in covariates:
+        col = np.array([r.evidence.get(c, -1) for r in records], dtype=np.int64)[order]
+        # one-hot codes; a missing cell (-1) matches no category
+        counts = np.cumsum(col[:, None] == np.arange(net.card(c)), axis=0)
+        win = counts[ends]
+        p = chi2_homogeneity(win, counts[-1] - win).p_value
+        rejected |= p < alpha_adj
+        p_by_cov[c] = [None if math.isnan(v) else v for v in p.tolist()]
+
+    randomized = (~rejected).tolist()
+    return [
+        WindowReport(
             k=k,
             threshold=float(threshold),
-            member_ids=members,
-            p_values=p_values,
-            randomized=randomized,
-            power=sample_power(fp, fn),
-            fp=fp,
-            fn=fn,
-        ))
-    return reports
+            member_ids=sorted_ids[:k],
+            p_values={c: p[i] for c, p in p_by_cov.items()},
+            randomized=randomized[i],
+            power=sample_power(fps[i], fns[i]),
+            fp=fps[i],
+            fn=fns[i],
+        )
+        for i, k in enumerate(ks.tolist())
+    ]
 
 
 def select_window(reports: Sequence[WindowReport]) -> WindowReport | None:

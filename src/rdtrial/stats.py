@@ -21,9 +21,9 @@ EXPECTED_MIN = 5.0  # chi-square small-cell collapse threshold
 
 @dataclass(frozen=True)
 class TestResult:
-    statistic: float
-    p_value: float
-    dof: int | None = None
+    statistic: float | np.ndarray   # arrays from a stacked chi2_homogeneity call
+    p_value: float | np.ndarray
+    dof: int | np.ndarray | None = None
     effective_n: float | None = None
 
 
@@ -33,53 +33,68 @@ def chi2_homogeneity(left: np.ndarray, right: np.ndarray) -> TestResult:
     ``left`` and ``right`` are per-category counts over the same category
     axis. Zero-total categories are dropped; categories whose expected count
     falls below 5 in either group are collapsed into a single bucket. If
-    fewer than two categories remain the table is degenerate and
-    DegenerateTable is raised (callers treat that as "cannot test").
+    fewer than two categories remain, or a group has zero total count, the
+    table is degenerate.
 
     No continuity correction is applied. Degrees of freedom = C - 1 for the
     final C categories.
+
+    A 1-D call tests one table: it returns floats and raises DegenerateTable
+    on a degenerate table (callers treat that as "cannot test"). A 2-D call
+    tests a stack of tables, one per row of shape (tables, categories), with
+    one tail-function call: it returns per-row arrays and raises nothing;
+    degenerate rows read statistic = p = nan and dof = 0.
+
+    Both shapes share one arithmetic. The statistic adds the kept categories'
+    terms in category order, the collapse bucket's last, left group before
+    right, so a row equals the 1-D call on that row bit for bit.
     """
     left = np.asarray(left, dtype=np.float64)
     right = np.asarray(right, dtype=np.float64)
-    if left.shape != right.shape or left.ndim != 1:
-        raise ValueError("left and right must be 1-D count vectors of equal length")
-    n_left = float(left.sum())
-    n_right = float(right.sum())
+    if left.shape != right.shape or left.ndim not in (1, 2):
+        raise ValueError("left and right must be count arrays of equal shape, "
+                         "1-D (one table) or 2-D (tables, categories)")
+    lt = np.atleast_2d(left)
+    rt = np.atleast_2d(right)
+    n_left = lt.sum(axis=1, keepdims=True)
+    n_right = rt.sum(axis=1, keepdims=True)
     total = n_left + n_right
-    if n_left <= 0 or n_right <= 0:
+    empty_group = ((n_left <= 0) | (n_right <= 0))[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        col = lt + rt
+        small = (col > 0) & (
+            (n_left * col / total < EXPECTED_MIN) | (n_right * col / total < EXPECTED_MIN))
+        # the collapse bucket is one more column, after the categories
+        used = np.hstack([(col > 0) & ~small, small.any(axis=1, keepdims=True)])
+        obs_l = np.hstack([lt, np.where(small, lt, 0.0).sum(axis=1, keepdims=True)])
+        obs_r = np.hstack([rt, np.where(small, rt, 0.0).sum(axis=1, keepdims=True)])
+        exp_l = n_left * (obs_l + obs_r) / total
+        exp_r = n_right * (obs_l + obs_r) / total
+        terms_l = np.where(used, (obs_l - exp_l) ** 2 / exp_l, 0.0)
+        terms_r = np.where(used, (obs_r - exp_r) ** 2 / exp_r, 0.0)
+    # a column loop, not .sum(axis=1): it adds a row's terms left to right
+    # whatever the number of zero (unused) cells between them, where numpy's
+    # pairwise sum groups terms by position once a row has 8 or more
+    sum_l = np.zeros(len(lt))
+    sum_r = np.zeros(len(lt))
+    for j in range(used.shape[1]):
+        sum_l += terms_l[:, j]
+        sum_r += terms_r[:, j]
+    cells = used.sum(axis=1)
+    degenerate = empty_group | (cells < 2)
+    stat = np.where(degenerate, np.nan, sum_l + sum_r)
+    dof = np.where(degenerate, 0, cells - 1)
+    p = np.full(len(lt), np.nan)
+    p[~degenerate] = _chi2_dist.sf(stat[~degenerate], dof[~degenerate])
+
+    if left.ndim == 2:
+        return TestResult(statistic=stat, p_value=p, dof=dof)
+    if empty_group[0]:
         raise DegenerateTable("a group has zero total count")
-
-    col = left + right
-    keep = col > 0
-    left = left[keep]
-    right = right[keep]
-    col = col[keep]
-
-    exp_left = n_left * col / total
-    exp_right = n_right * col / total
-    small = (exp_left < EXPECTED_MIN) | (exp_right < EXPECTED_MIN)
-    if small.any():
-        big = ~small
-        l2 = list(left[big])
-        r2 = list(right[big])
-        bucket_l = float(left[small].sum())
-        bucket_r = float(right[small].sum())
-        if bucket_l + bucket_r > 0:
-            l2.append(bucket_l)
-            r2.append(bucket_r)
-        left = np.asarray(l2)
-        right = np.asarray(r2)
-        col = left + right
-
-    if left.size < 2:
-        raise DegenerateTable(f"{left.size} usable categor{'y' if left.size == 1 else 'ies'} after collapsing")
-
-    exp_left = n_left * col / total
-    exp_right = n_right * col / total
-    stat = float(((left - exp_left) ** 2 / exp_left).sum() + ((right - exp_right) ** 2 / exp_right).sum())
-    dof = int(left.size - 1)
-    p = float(_chi2_dist.sf(stat, dof))
-    return TestResult(statistic=stat, p_value=p, dof=dof)
+    if degenerate[0]:
+        c = int(cells[0])
+        raise DegenerateTable(f"{c} usable categor{'y' if c == 1 else 'ies'} after collapsing")
+    return TestResult(statistic=float(stat[0]), p_value=float(p[0]), dof=int(dof[0]))
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> TestResult:
@@ -151,10 +166,7 @@ def youden_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, flo
     tn = neg_below
     j = tp / pos_total + tn / neg_total - 1.0
 
-    best = 0
-    for i in range(1, len(candidates)):
-        if j[i] >= j[best]:
-            best = i  # ties resolve to the larger threshold
+    best = len(j) - 1 - int(np.argmax(j[::-1]))  # last maximum: ties go to the larger threshold
     return float(candidates[best]), float(j[best])
 
 

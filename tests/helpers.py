@@ -1,9 +1,13 @@
-"""Shared fixtures: seeded random networks and tiny hand-built nets."""
+"""Shared fixtures: seeded random networks, tiny hand-built nets, and
+scalar reference implementations of vectorized code."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.stats import chi2 as _chi2_dist
 
+from rdtrial.errors import DegenerateTable
 from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
+from rdtrial.stats import EXPECTED_MIN, TestResult
 
 # Keep the dense joint small enough that the enumeration oracle stays fast;
 # node count and cardinality still span the full supported range.
@@ -66,3 +70,60 @@ def chain_network() -> DiscreteNetwork:
     return DiscreteNetwork(
         variables=variables, arcs=[("a", "b"), ("b", "c")], cpts=cpts
     )
+
+
+def reference_chi2_homogeneity(left: np.ndarray, right: np.ndarray) -> TestResult:
+    """Reference oracle: the one-table Pearson chi-square test, coded scalar.
+
+    An independent check on the stacked ``rdtrial.stats.chi2_homogeneity``.
+
+    ``left`` and ``right`` are per-category counts over the same category
+    axis. Zero-total categories are dropped; categories whose expected count
+    falls below 5 in either group are collapsed into a single bucket. If
+    fewer than two categories remain the table is degenerate and
+    DegenerateTable is raised (callers treat that as "cannot test").
+
+    No continuity correction is applied. Degrees of freedom = C - 1 for the
+    final C categories.
+    """
+    left = np.asarray(left, dtype=np.float64)
+    right = np.asarray(right, dtype=np.float64)
+    if left.shape != right.shape or left.ndim != 1:
+        raise ValueError("left and right must be 1-D count vectors of equal length")
+    n_left = float(left.sum())
+    n_right = float(right.sum())
+    total = n_left + n_right
+    if n_left <= 0 or n_right <= 0:
+        raise DegenerateTable("a group has zero total count")
+
+    col = left + right
+    keep = col > 0
+    left = left[keep]
+    right = right[keep]
+    col = col[keep]
+
+    exp_left = n_left * col / total
+    exp_right = n_right * col / total
+    small = (exp_left < EXPECTED_MIN) | (exp_right < EXPECTED_MIN)
+    if small.any():
+        big = ~small
+        l2 = list(left[big])
+        r2 = list(right[big])
+        bucket_l = float(left[small].sum())
+        bucket_r = float(right[small].sum())
+        if bucket_l + bucket_r > 0:
+            l2.append(bucket_l)
+            r2.append(bucket_r)
+        left = np.asarray(l2)
+        right = np.asarray(r2)
+        col = left + right
+
+    if left.size < 2:
+        raise DegenerateTable(f"{left.size} usable categor{'y' if left.size == 1 else 'ies'} after collapsing")
+
+    exp_left = n_left * col / total
+    exp_right = n_right * col / total
+    stat = float(((left - exp_left) ** 2 / exp_left).sum() + ((right - exp_right) ** 2 / exp_right).sum())
+    dof = int(left.size - 1)
+    p = float(_chi2_dist.sf(stat, dof))
+    return TestResult(statistic=stat, p_value=p, dof=dof)

@@ -4,6 +4,7 @@ determinism of the emitted report files."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -154,6 +155,11 @@ def test_rddo_end_to_end_files_and_determinism(tmp_path, capsys):
     assert manifest["config_sha256"]
     assert manifest["versions"]["rdtrial"]
     assert manifest["versions"]["scipy"]
+    # provenance: digests of the exact model and cohort bytes that were read
+    assert manifest["inputs_sha256"] == {
+        "model": hashlib.sha256(model_path.read_bytes()).hexdigest(),
+        "cohort": hashlib.sha256(cohort_path.read_bytes()).hexdigest(),
+    }
 
     # identical config, fresh directory: byte-identical effects
     out2 = tmp_path / "out2"
@@ -168,6 +174,9 @@ def test_rddo_end_to_end_files_and_determinism(tmp_path, capsys):
     assert (out2 / "effects.csv").read_bytes() == base
     assert (out3 / "effects.csv").read_bytes() == base
     assert (out2 / "windows.csv").read_bytes() == (out1 / "windows.csv").read_bytes()
+    for out in (out2, out3):
+        rerun = json.loads((out / "run_manifest.json").read_text())
+        assert rerun["inputs_sha256"] == manifest["inputs_sha256"]
 
 
 def test_rddo_no_window_still_writes_valid_files(tmp_path, capsys):

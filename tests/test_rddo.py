@@ -3,9 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdtrial.cohort import Cohort, write_cohort_csv
-from rdtrial.errors import ConfigError, DataError, NoCausalPath, TooFewRecords
+from rdtrial.errors import (
+    ConfigError,
+    DataError,
+    DegenerateTable,
+    NoCausalPath,
+    TooFewRecords,
+)
 from rdtrial.inference import posterior
 from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
 from rdtrial.modelio import save_model
@@ -21,9 +29,10 @@ from rdtrial.rddo import (
     score_cohort,
     select_window,
 )
+from rdtrial.stats import sample_power
 from rdtrial.synth import confounded_triple, make_confounded_scenario, sample_cohort
 
-from helpers import chain_network
+from helpers import chain_network, reference_chi2_homogeneity
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +284,120 @@ def test_full_window_is_vacuously_randomized():
     assert full.k == 4
     assert full.p_values["c"] is None
     assert full.randomized
+
+
+def _reference_scan(net, records, threshold, covariates, alpha, k_min, k_step, k_max):
+    """scan_windows as one loop over windows, one reference test per window."""
+    ranked = sorted(records, key=lambda r: (abs(r.score - threshold), r.record_id))
+    k_cap = len(ranked) if k_max is None else min(k_max, len(ranked))
+    level = alpha / len(covariates) if covariates else alpha
+    out = []
+    for k in range(k_min, k_cap + 1, k_step):
+        inside, outside = ranked[:k], ranked[k:]
+        p_values = {}
+        for c in covariates:
+            left, right = (
+                np.bincount([r.evidence[c] for r in group if c in r.evidence],
+                            minlength=net.card(c))
+                for group in (inside, outside)
+            )
+            try:
+                p_values[c] = reference_chi2_homogeneity(left, right).p_value
+            except DegenerateTable:
+                p_values[c] = None
+        fp = sum(r.score >= threshold and not r.label for r in inside)
+        fn = sum(r.score < threshold and r.label for r in inside)
+        out.append((
+            k, [r.record_id for r in inside], p_values,
+            all(p is None or p >= level for p in p_values.values()),
+            sample_power(fp, fn), fp, fn,
+        ))
+    return out
+
+
+def _as_tuples(reports):
+    return [
+        (r.k, r.member_ids.tolist(), dict(r.p_values), r.randomized, r.power, r.fp, r.fn)
+        for r in reports
+    ]
+
+
+@st.composite
+def _scan_cases(draw):
+    n = draw(st.integers(1, 80))
+    cards = draw(st.lists(st.integers(1, 6), min_size=0, max_size=3))
+    names = [f"c{i}" for i in range(len(cards))]
+    net = DiscreteNetwork(
+        variables=[VariableDef(name=v, states=tuple(map(str, range(card))))
+                   for v, card in zip(names, cards)],
+        arcs=[],
+        cpts={v: Cpt(v, (), np.full((1, card), 1.0 / card))
+              for v, card in zip(names, cards)},
+    )
+    # few distinct scores, so many records tie on distance
+    grid = st.sampled_from([0.2, 0.35, 0.45, 0.5, 0.55, 0.65, 0.8])
+    ids = draw(st.permutations(range(3 * n)))[:n]
+    records = []
+    for rid in ids:
+        evidence = {}
+        for v, card in zip(names, cards):
+            code = draw(st.integers(-1, card - 1))  # -1: missing cell
+            if code >= 0:
+                evidence[v] = code
+        records.append(ScoredRecord(
+            record_id=rid, evidence=evidence, label=draw(st.booleans()),
+            score=draw(grid | st.floats(0.0, 1.0)),
+        ))
+    k_min = draw(st.integers(1, n))
+    k_step = draw(st.integers(1, 9))
+    k_max = draw(st.none() | st.integers(k_min, n + 5))
+    return net, records, names, k_min, k_step, k_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_cases(), st.sampled_from([0.5, 0.45, 0.62]), st.sampled_from([0.05, 0.5]))
+def test_scan_windows_matches_a_per_window_reference_loop(case, threshold, alpha):
+    net, records, names, k_min, k_step, k_max = case
+    got = scan_windows(net, records, threshold, names, alpha=alpha,
+                       k_min=k_min, k_step=k_step, k_max=k_max)
+    # at most 6 categories per covariate: the p-values agree bit for bit
+    assert _as_tuples(got) == _reference_scan(
+        net, records, threshold, names, alpha, k_min, k_step, k_max)
+
+
+def test_scan_windows_coarse_grid_counts_the_records_between_grid_points():
+    # a k_step = 7 scan must report what the k_step = 1 scan reports at every
+    # shared k: counts include the records between grid points
+    rng = np.random.default_rng(11)
+    n = 400
+    net = DiscreteNetwork(
+        variables=[VariableDef(name="a", states=("0", "1", "2")),
+                   VariableDef(name="b", states=("0", "1"))],
+        arcs=[],
+        cpts={"a": Cpt("a", (), np.full((1, 3), 1 / 3)),
+              "b": Cpt("b", (), np.full((1, 2), 0.5))},
+    )
+    scores = np.round(rng.uniform(0.2, 0.8, n), 2)  # rounding makes distance ties
+    labels = rng.uniform(size=n) < scores
+    a = rng.choice([-1, 0, 1, 2], size=n, p=[0.1, 0.5, 0.3, 0.1])
+    # b is balanced except on the farthest tenth, where it is always 1:
+    # small windows pass the gate, windows that leave mostly those out fail
+    b = np.where(np.abs(scores - 0.5) < 0.27, rng.choice([-1, 0, 1], size=n), 1)
+    records = [
+        ScoredRecord(record_id=i, label=bool(labels[i]), score=float(scores[i]),
+                     evidence={k: int(v) for k, v in (("a", a[i]), ("b", b[i])) if v >= 0})
+        for i in range(n)
+    ]
+    fine = scan_windows(net, records, 0.5, ["a", "b"], k_min=20, k_step=1, k_max=390)
+    coarse = scan_windows(net, records, 0.5, ["a", "b"], k_min=20, k_step=7, k_max=390)
+    by_k = {r.k: r for r in fine}
+    assert [r.k for r in coarse] == list(range(20, 391, 7))
+    for r in coarse:
+        f = by_k[r.k]
+        assert (r.fp, r.fn, r.power, dict(r.p_values), r.randomized) == (
+            f.fp, f.fn, f.power, dict(f.p_values), f.randomized)
+        assert r.member_ids.tolist() == f.member_ids.tolist()
+    assert len({r.randomized for r in coarse}) == 2  # the gate both passes and rejects
 
 
 def test_select_window_prefers_power_then_smaller_k():

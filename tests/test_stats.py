@@ -1,8 +1,13 @@
 """Window-gate and ranking statistics: chi-square, KS, Youden, power."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdtrial.errors import DegenerateTable, EmptySample, SingleClass
 from rdtrial.stats import (
@@ -12,6 +17,8 @@ from rdtrial.stats import (
     sample_power,
     youden_threshold,
 )
+
+from helpers import reference_chi2_homogeneity
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +87,74 @@ def test_chi2_category_permutation_invariant():
 def test_chi2_input_validation():
     with pytest.raises(ValueError):
         chi2_homogeneity(np.array([1, 2, 3]), np.array([1, 2]))
+    with pytest.raises(ValueError):
+        chi2_homogeneity(np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        chi2_homogeneity(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
+
+
+def test_chi2_stacked_rows_and_degenerate_rows():
+    left = np.array([[50, 10], [0, 0], [3, 2], [10, 10]])
+    right = np.array([[10, 50], [5, 5], [2, 3], [10, 10]])
+    res = chi2_homogeneity(left, right)
+    assert res.statistic[0] == pytest.approx(160.0 / 3.0, abs=1e-9)
+    assert res.statistic[3] == 0.0 and res.p_value[3] == 1.0
+    # zero group total, then everything collapsed into one bucket
+    assert np.isnan(res.p_value[1:3]).all() and np.isnan(res.statistic[1:3]).all()
+    assert res.dof.tolist() == [1, 0, 0, 1]
+
+
+# Counts skewed toward empty and small cells, so that zero-total categories,
+# collapse buckets and zero-total groups all turn up.
+_COUNT = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 40), st.integers(0, 3000))
+
+
+@st.composite
+def _count_stacks(draw):
+    cats = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, 6))
+    left = draw(arrays(np.int64, (rows, cats), elements=_COUNT))
+    right = draw(arrays(np.int64, (rows, cats), elements=_COUNT))
+    empty_cat = draw(arrays(np.bool_, cats, elements=st.sampled_from([False] * 3 + [True])))
+    left[:, empty_cat] = 0
+    right[:, empty_cat] = 0
+    for i in range(rows):
+        zero = draw(st.sampled_from(["none"] * 4 + ["left", "right"]))
+        if zero != "none":
+            (left if zero == "left" else right)[i] = 0
+    return left, right
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_stacks())
+def test_chi2_stacked_rows_match_the_scalar_reference(tables):
+    left, right = tables
+    res = chi2_homogeneity(left, right)
+    for i in range(len(left)):
+        try:
+            ref = reference_chi2_homogeneity(left[i], right[i])
+        except DegenerateTable:
+            assert math.isnan(res.p_value[i]) and math.isnan(res.statistic[i])
+            assert res.dof[i] == 0
+            with pytest.raises(DegenerateTable):
+                chi2_homogeneity(left[i], right[i])
+            continue
+        assert res.dof[i] == ref.dof
+        if ref.dof + 1 <= 7:
+            # sequential sums in both: equal bit for bit
+            assert res.statistic[i] == ref.statistic
+            assert res.p_value[i] == ref.p_value
+        else:
+            # numpy's pairwise .sum regroups the reference's terms; below the
+            # smallest normal float64 a p-value has no relative precision left
+            assert res.statistic[i] == pytest.approx(ref.statistic, rel=1e-12, abs=0)
+            assert res.p_value[i] == pytest.approx(
+                ref.p_value, rel=1e-12, abs=np.finfo(np.float64).tiny)
+        # the 1-D call is the same arithmetic on one row
+        one = chi2_homogeneity(left[i], right[i])
+        assert (one.statistic, one.p_value, one.dof) == (
+            res.statistic[i], res.p_value[i], res.dof[i])
+        assert type(one.p_value) is float and type(one.dof) is int
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +261,36 @@ def test_youden_monotone_transform_invariance():
     assert j_a == pytest.approx(j_b, abs=1e-12)
     # the classifications agree even though the cut points differ
     assert np.array_equal(scores >= thr_a, np.exp(scores) >= thr_b)
+
+
+def _youden_loop(scores, labels):
+    """Youden's J at every candidate, counted directly; the last maximum wins."""
+    distinct = np.unique(scores)
+    candidates = [-np.inf, *((distinct[:-1] + distinct[1:]) / 2.0), np.inf]
+    pos_total = int((labels == 1).sum())
+    neg_total = int((labels == 0).sum())
+    js = []
+    for thr in candidates:
+        tp = int(((scores >= thr) & (labels == 1)).sum())
+        tn = int(((scores < thr) & (labels == 0)).sum())
+        js.append(tp / pos_total + tn / neg_total - 1.0)
+    best = 0
+    for i in range(1, len(js)):
+        if js[i] >= js[best]:
+            best = i
+    return float(candidates[best]), js[best]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9])
+                          | st.floats(0.0, 1.0), st.integers(0, 1)),
+                min_size=2, max_size=40))
+def test_youden_matches_loop_reference(pairs):
+    scores = np.array([s for s, _ in pairs])
+    labels = np.array([y for _, y in pairs])
+    if labels.min() == labels.max():
+        labels[0] = 1 - labels[0]
+    assert youden_threshold(scores, labels) == _youden_loop(scores, labels)
 
 
 def test_youden_single_class():
