@@ -392,9 +392,12 @@ def _cmd_learn(args) -> int:
     for name in structure.names:
         if name not in cols:
             cols[name] = np.full(len(cohort), -1, dtype=np.int64)
-    fitted, fit = em_fit(
-        structure, cols, alpha=args.alpha, seed=args.seed, max_iter=args.max_iter
-    )
+    try:
+        fitted, fit = em_fit(
+            structure, cols, alpha=args.alpha, seed=args.seed, max_iter=args.max_iter
+        )
+    except ValueError as exc:  # em_fit's argument checks
+        raise ConfigError(str(exc)) from exc
     save_model(fitted, args.out)
     print(f"wrote {args.out}")
     print(f"iterations={fit.iterations} converged={fit.converged} "
@@ -410,6 +413,8 @@ def _uniform_cpts(doc: dict) -> dict:
         cards[v["name"]] = len(v["states"])
     parents: dict[str, list[str]] = {name: [] for name in cards}
     for arc in doc.get("arcs", []):
+        if not isinstance(arc, (list, tuple)) or len(arc) != 2:
+            raise ConfigError(f"each arc must be a [parent, child] pair, got {arc!r}")
         src, dst = arc
         if dst in parents:
             parents[dst].append(src)

@@ -2,9 +2,9 @@
 
 Two independent routes are provided on purpose:
 
-* :func:`posterior` / :func:`do_posterior` run variable elimination with a
-  min-degree ordering and per-step factor renormalization (numerically safe
-  on long chains);
+* :func:`posterior`, :func:`do_posterior` and :func:`log_evidence` run
+  variable elimination with a min-degree ordering and per-step factor
+  renormalization (numerically safe on long chains);
 * :func:`enumerate_posterior` and :func:`dense_joint` materialize the full
   joint by multiplying CPT tensors, with no elimination machinery at all.
 
@@ -139,12 +139,12 @@ def _eliminate_all(
     evidence: Mapping[str, int],
     elimination_order: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, float, tuple[int, ...]]:
-    """Run VE; returns (table over kept vars sorted, log-scale, kept vars).
+    """Run VE; returns (P(kept | evidence), log P(evidence), kept vars).
 
-    The returned table times exp(log-scale) integrates to P(evidence).
+    The table's axes are the kept variables in index order (0-d when none).
     Each elimination step renormalizes the fresh factor by its sum and
-    accumulates the log, so long chains cannot underflow. A zero sum means
-    the evidence is impossible: the caller decides whether that raises.
+    accumulates the log, so long chains cannot underflow. Impossible evidence
+    gives an all-zero table and -inf: the caller decides whether that raises.
     """
     cards = [v.card for v in net.variables]
     kept = tuple(sorted(keep))
@@ -158,8 +158,6 @@ def _eliminate_all(
             live.append(f)
         else:
             scalar *= float(f.table.item())
-    if scalar == 0.0:
-        return np.zeros([cards[k] for k in kept]), 0.0, kept
 
     evid_idx = {net.index(n) for n in evidence}
     all_vars = set(range(len(cards)))
@@ -182,31 +180,30 @@ def _eliminate_all(
         summed = _sum_out(prod, v)
         total = float(summed.table.sum())
         if total <= 0.0:
-            return np.zeros([cards[k] for k in kept]), 0.0, kept
+            return np.zeros([cards[k] for k in kept]), -math.inf, kept
         if summed.vars:
             summed = _Factor(summed.vars, summed.table / total)
             log_scale += math.log(total)
             live.append(summed)
         else:
             scalar *= total
-            if scalar == 0.0:
-                return np.zeros([cards[k] for k in kept]), 0.0, kept
 
-    if not kept:
-        return np.asarray(scalar, dtype=np.float64).reshape(()), log_scale, kept
-
-    # every kept variable's own CPT factor is still live
-    result = live[0]
-    for f in live[1:]:
-        result = _multiply(result, f, cards)
-    # fold the scalar into the log scale, never into the table: normalized
+    table = np.ones(())
+    if kept:
+        # every kept variable's own CPT factor is still live
+        result = live[0]
+        for f in live[1:]:
+            result = _multiply(result, f, cards)
+        # axes of result.vars are sorted ascending already
+        if result.vars != kept:  # pragma: no cover - keep is exactly result scope
+            raise AssertionError("kept variable scope mismatch")
+        table = result.table
+    total = float(table.sum())
+    if total <= 0.0 or scalar == 0.0:
+        return np.zeros([cards[k] for k in kept]), -math.inf, kept
+    # the scalar goes into the log, never into the table: normalized
     # queries must be bit-identical under evidence that only rescales
-    if scalar != 1.0:
-        log_scale += math.log(scalar)
-    # axes of result.vars are sorted ascending already
-    if result.vars != kept:  # pragma: no cover - keep is exactly result scope
-        raise AssertionError("kept variable scope mismatch")
-    return result.table, log_scale, kept
+    return table / total, log_scale + math.log(scalar) + math.log(total), kept
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +226,10 @@ def posterior(
     var = net.var(target)
     if target in ev:
         raise ValueError(f"target {target!r} must not appear in evidence")
-    table, _, _ = _eliminate_all(net, {net.index(target)}, ev, elimination_order)
-    total = float(table.sum())
-    if total <= 0.0:
+    probs, log_p, _ = _eliminate_all(net, {net.index(target)}, ev, elimination_order)
+    if log_p == -math.inf:
         raise ZeroProbabilityEvidence(f"evidence has probability zero: {dict(ev)!r}")
-    return Posterior(target=target, states=var.states, probs=table / total)
+    return Posterior(target=target, states=var.states, probs=probs)
 
 
 def do_posterior(
@@ -286,11 +282,7 @@ def log_evidence(net: DiscreteNetwork, evidence: Evidence) -> float:
     ev = check_evidence(net, evidence)
     if not ev:
         return 0.0
-    table, log_scale, _ = _eliminate_all(net, set(), ev)
-    value = float(table)
-    if value <= 0.0:
-        return float("-inf")
-    return math.log(value) + log_scale
+    return _eliminate_all(net, set(), ev)[1]
 
 
 def row_log_likelihoods(

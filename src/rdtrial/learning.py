@@ -1,8 +1,9 @@
 """Parameter learning and cohort partitioning.
 
 ``mle_fit`` does closed-form maximum likelihood with Laplace smoothing;
-``em_fit`` handles missing values with exact-inference expected counts.
-With complete data the two agree bit for bit because the EM E-step takes an
+``em_fit`` handles missing values with exact-inference expected counts;
+each pattern's log-likelihood is the normalizer of the same inference runs.
+With complete data the two agree bit for bit because em_fit takes an
 integer-count shortcut and the M-step is the same counts-to-CPT code path.
 """
 
@@ -38,23 +39,15 @@ class FitReport:
 # counting helpers
 # ---------------------------------------------------------------------------
 
-def _config_codes(net: DiscreteNetwork, cols: Columns, parents: tuple[str, ...]) -> np.ndarray:
-    """Mixed-radix parent-config code per row; first parent most significant."""
-    n = len(next(iter(cols.values()))) if cols else 0
-    codes = np.zeros(n, dtype=np.int64)
-    for p in parents:
-        codes = codes * net.card(p) + cols[p]
-    return codes
-
-
 def _counts_to_cpt(child: str, parents: tuple[str, ...], counts: np.ndarray, alpha: float) -> Cpt:
-    """Normalize a (configs, states) count table into a CPT.
+    """Normalize a (parents..., child) count tensor into a CPT.
 
     alpha is the Laplace pseudo-count added to every cell. With alpha = 0 an
     all-zero row is an error (EmptyParentConfiguration): there is no data to
     normalize.
     """
-    counts = counts + alpha
+    # C order over (parents..., child) is the CPT's mixed-radix row order
+    counts = counts.reshape(-1, counts.shape[-1]) + alpha
     totals = counts.sum(axis=1, keepdims=True)
     if np.any(totals == 0.0):
         rows = np.nonzero(totals[:, 0] == 0.0)[0]
@@ -83,10 +76,9 @@ def mle_fit(structure: DiscreteNetwork, cols: Columns, alpha: float = 1.0) -> Di
     cpts: dict[str, Cpt] = {}
     for v in structure.variables:
         old = structure.cpts[v.name]
-        n_cfg = old.n_configs
-        counts = np.zeros((n_cfg, v.card))
-        codes = _config_codes(structure, cols, old.parents)
-        np.add.at(counts, (codes, cols[v.name]), 1.0)
+        family = (*old.parents, v.name)
+        counts = np.zeros([structure.card(f) for f in family])
+        np.add.at(counts, tuple(cols[f] for f in family), 1.0)
         cpts[v.name] = _counts_to_cpt(v.name, old.parents, counts, alpha)
     return DiscreteNetwork(structure.variables, structure.arcs, cpts, structure.outcomes)
 
@@ -124,29 +116,42 @@ def _collapse_patterns(net: DiscreteNetwork, cols: Columns) -> tuple[list[dict[s
     return patterns, counts.astype(np.float64)
 
 
-def _family_posterior(
-    net: DiscreteNetwork, child: str, evidence: dict[str, int]
-) -> np.ndarray:
-    """P(parent config, child state | evidence) as a (configs, states) table."""
-    cpt = net.cpts[child]
-    family = list(cpt.parents) + [child]
-    hidden = [f for f in family if f not in evidence]
-    grid = np.zeros([net.card(f) for f in family])
-    at = tuple(slice(None) if f in hidden else evidence[f] for f in family)
-    if hidden:
-        table, _, kept = inference._eliminate_all(
-            net, {net.index(h) for h in hidden}, evidence
-        )
-        total = float(table.sum())
-        if total <= 0.0:
-            raise NonFiniteLikelihood(f"pattern {evidence!r} has probability zero")
-        # VE returns axes in global index order; the grid wants family order
-        axes = [kept.index(net.index(h)) for h in hidden]
-        grid[at] = np.transpose(table / total, axes)
-    else:
-        grid[at] = 1.0
-    # C order over (parents..., child) is the CPT's mixed-radix row order
-    return grid.reshape(cpt.n_configs, -1)
+def _expected_counts(
+    net: DiscreteNetwork, patterns: list[dict[str, int]], weights: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """E-step: weighted (parents..., child) counts per variable, log P per pattern.
+
+    VE runs once per (pattern, variable whose family has a hidden member) and
+    its normalizer is the pattern's log P; a pattern with nothing hidden takes
+    log P from log_evidence. A zero-probability pattern raises.
+    """
+    families = {v.name: (*net.cpts[v.name].parents, v.name) for v in net.variables}
+    counts = {n: np.zeros([net.card(f) for f in fam]) for n, fam in families.items()}
+    log_p = np.zeros(len(patterns))
+    for i, (pat, w) in enumerate(zip(patterns, weights)):
+        ll = None
+        for name, family in families.items():
+            hidden = [f for f in family if f not in pat]
+            at = tuple(slice(None) if f in hidden else pat[f] for f in family)
+            table = 1.0
+            if hidden:
+                table, ll, kept = inference._eliminate_all(
+                    net, {net.index(h) for h in hidden}, pat
+                )
+                if ll == -np.inf:
+                    break
+                # VE returns axes in global index order; the tensor wants family order
+                table = np.transpose(table, [kept.index(net.index(h)) for h in hidden])
+            counts[name][at] += w * table
+        if ll is None:
+            ll = inference.log_evidence(net, pat)
+        if ll == -np.inf:
+            raise NonFiniteLikelihood(
+                f"observation pattern {pat!r} has probability zero "
+                f"under the current parameters (structural zero)"
+            )
+        log_p[i] = ll
+    return counts, log_p
 
 
 def em_fit(
@@ -164,7 +169,8 @@ def em_fit(
     observation pattern; M-step is the same counts-to-CPT normalization as
     mle_fit. Convergence is max absolute parameter change below ``tol``.
     The log-likelihood trace (one entry per parameter vector visited, first
-    entry = initialization) is non-decreasing when alpha = 0; with alpha > 0
+    entry = initialization; each from that iteration's E-step, the last from
+    row_log_likelihoods) is non-decreasing when alpha = 0; with alpha > 0
     the M-step maximizes the smoothed objective instead, which can trade a
     hair of raw likelihood for prior mass, so the default stays at plain EM.
 
@@ -173,6 +179,8 @@ def em_fit(
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n_rows = len(next(iter(cols.values()))) if cols else 0
     if n_rows == 0:
         raise ValueError("em_fit needs at least one row")
@@ -188,10 +196,7 @@ def em_fit(
     if complete:
         # identical code path to mle_fit, bit-for-bit
         fitted = mle_fit(structure, cols, alpha=alpha)
-        rows = patterns
-        ll = float(
-            np.dot(weights, inference.row_log_likelihoods(fitted, rows))
-        )
+        ll = float(np.dot(weights, inference.row_log_likelihoods(fitted, patterns)))
         return fitted, FitReport(
             iterations=1, log_likelihood=(ll,), converged=True, final_delta=0.0
         )
@@ -202,23 +207,14 @@ def em_fit(
     delta = float("inf")
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        per_pattern = inference.row_log_likelihoods(net, patterns)
-        if not np.all(np.isfinite(per_pattern)):
-            bad = int(np.nonzero(~np.isfinite(per_pattern))[0][0])
-            raise NonFiniteLikelihood(
-                f"observation pattern {patterns[bad]!r} has probability zero "
-                f"under the current parameters (structural zero)"
-            )
+        counts, per_pattern = _expected_counts(net, patterns, weights)
         trace.append(float(np.dot(weights, per_pattern)))
 
         new_cpts: dict[str, Cpt] = {}
         delta = 0.0
         for v in net.variables:
             cpt = net.cpts[v.name]
-            counts = np.zeros((cpt.n_configs, v.card))
-            for pat, w in zip(patterns, weights):
-                counts += w * _family_posterior(net, v.name, pat)
-            new = _counts_to_cpt(v.name, cpt.parents, counts, alpha)
+            new = _counts_to_cpt(v.name, cpt.parents, counts[v.name], alpha)
             delta = max(delta, float(np.abs(new.rows - cpt.rows).max()))
             new_cpts[v.name] = new
         net = DiscreteNetwork(net.variables, net.arcs, new_cpts, net.outcomes)

@@ -136,7 +136,10 @@ class Cpt:
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
-        arr = np.asarray(self.rows, dtype=np.float64)
+        try:
+            arr = np.asarray(self.rows, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidModel(f"CPT for {self.child!r} is not a table of numbers: {exc}") from exc
         if arr.ndim != 2:
             raise InvalidModel(f"CPT for {self.child!r} must be 2-D, got shape {arr.shape}")
         arr = np.ascontiguousarray(arr)

@@ -64,6 +64,8 @@ def _variables_out(variables) -> list[dict]:
 def _variables_in(raw) -> list[VariableDef]:
     out = []
     for d in raw:
+        if not isinstance(d, dict) or "name" not in d or "states" not in d:
+            raise InvalidModel(f"each variable needs 'name' and 'states', got {d!r}")
         intervals = d.get("intervals")
         out.append(
             VariableDef(

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .inference import do_posterior, posterior
 from .learning import stratified_split
-from .model import DiscreteNetwork, has_directed_path, slice_rank, unroll
+from .model import DiscreteNetwork, VariableDef, has_directed_path, slice_rank, unroll
 from .modelio import load_model
 from .stats import (
     bonferroni_alpha,
@@ -78,6 +78,19 @@ class ScoringResult:
         return np.array([r.label for r in self.records], dtype=bool)
 
 
+def _declared_outcome(net: DiscreteNetwork, t: int) -> str:
+    """The model's outcome node for time point t, the default outcome."""
+    name = net.outcomes.get(t)
+    if name is None:
+        raise ConfigError(f"no outcome variable declared for time point {t}")
+    return name
+
+
+def _positive_state(out_var: VariableDef, positive_state: str | None) -> str:
+    """The positive outcome state: the given one, by default the last state."""
+    return out_var.states[-1] if positive_state is None else positive_state
+
+
 def score_cohort(
     net: DiscreteNetwork,
     cohort: Cohort,
@@ -96,15 +109,10 @@ def score_cohort(
     cost scales with pattern diversity rather than cohort size.
     """
     if outcome is None:
-        outcome = net.outcomes.get(t)
-        if outcome is None:
-            raise ConfigError(f"no outcome variable declared for time point {t}")
+        outcome = _declared_outcome(net, t)
     out_var = net.var(outcome)
-    if positive_state is None:
-        pos_idx = out_var.card - 1
-        positive_state = out_var.states[pos_idx]
-    else:
-        pos_idx = out_var.state_index(positive_state)
+    positive_state = _positive_state(out_var, positive_state)
+    pos_idx = out_var.state_index(positive_state)
     if outcome not in cohort.columns:
         raise DataError(f"cohort has no column for outcome {outcome!r}")
 
@@ -359,10 +367,7 @@ def estimate_effects(
         )
     if mode == "causal" and not has_directed_path(net, variable, outcome):
         raise NoCausalPath(f"no directed path from {variable!r} to {outcome!r}")
-    pos_idx = (
-        out_var.card - 1 if positive_state is None
-        else out_var.state_index(positive_state)
-    )
+    pos_idx = out_var.state_index(_positive_state(out_var, positive_state))
     s = slice_rank(variable)
     excluded = set(net.outcomes.values()) | {outcome, variable}
 
@@ -495,27 +500,34 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
             raise ConfigError(f"config key {key!r} must be a non-empty string")
         return v
 
+    def coerce(key: str, kind: type, value: object):
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
+
     model_path = str((base / need_str("model")).resolve())
     cohort_path = str((base / need_str("cohort")).resolve())
     out_dir = doc.get("out")
     if out_dir is not None:
         out_dir = str((base / str(out_dir)).resolve())
 
-    alpha = float(doc.get("alpha", 0.05))
+    alpha = coerce("alpha", float, doc.get("alpha", 0.05))
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    k_min = int(doc.get("k_min", 200))
+    k_min = coerce("k_min", int, doc.get("k_min", 200))
     if k_min < 2:
         raise ConfigError(f"k_min must be >= 2, got {k_min}")
-    k_step = int(doc.get("k_step", 1))
+    k_step = coerce("k_step", int, doc.get("k_step", 1))
     if k_step < 1:
         raise ConfigError(f"k_step must be >= 1, got {k_step}")
     k_max = doc.get("k_max")
     if k_max is not None:
-        k_max = int(k_max)
+        k_max = coerce("k_max", int, k_max)
         if k_max < k_min:
             raise ConfigError(f"k_max = {k_max} is below k_min = {k_min}")
-    threads = int(doc.get("threads", 1))  # accepted, no effect: effects run serially
+    # accepted, no effect: effects run serially
+    threads = coerce("threads", int, doc.get("threads", 1))
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
@@ -523,7 +535,7 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
     if time_points is not None:
         if not isinstance(time_points, (list, tuple)) or not time_points:
             raise ConfigError("time_points must be a non-empty list of integers")
-        time_points = tuple(int(t) for t in time_points)
+        time_points = tuple(coerce("time_points", int, t) for t in time_points)
 
     covariates = doc.get("covariates")
     if covariates is not None:
@@ -557,10 +569,10 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
                 f"thresholds must be 'youden' or a per-time-point map, got {thresholds!r}"
             )
     elif isinstance(thresholds, Mapping):
-        try:
-            thresholds = {int(k): float(v) for k, v in thresholds.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad thresholds map: {exc}") from exc
+        thresholds = {
+            coerce("thresholds", int, k): coerce("thresholds", float, v)
+            for k, v in thresholds.items()
+        }
     else:
         raise ConfigError("thresholds must be 'youden' or a map of t to threshold")
 
@@ -570,16 +582,12 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
     else:
         if not isinstance(split, (list, tuple)) or len(split) != 3:
             raise ConfigError("split must be three fractions or false")
-        split = tuple(float(f) for f in split)
+        split = tuple(coerce("split", float, f) for f in split)
         if abs(sum(split) - 1.0) > 1e-9 or any(f <= 0 for f in split):
             raise ConfigError(f"split fractions must be positive and sum to 1, got {split}")
 
-    outcome_base = doc.get("outcome")
-    if outcome_base is not None:
-        outcome_base = str(outcome_base)
-    positive_state = doc.get("positive_state")
-    if positive_state is not None:
-        positive_state = str(positive_state)
+    outcome_base = None if doc.get("outcome") is None else str(doc["outcome"])
+    positive_state = None if doc.get("positive_state") is None else str(doc["positive_state"])
 
     return RunConfig(
         model_path=model_path,
@@ -597,7 +605,7 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
         k_max=k_max,
         thresholds=thresholds,
         split=split,
-        seed=int(doc.get("seed", 0)),
+        seed=coerce("seed", int, doc.get("seed", 0)),
     )
 
 
@@ -661,10 +669,7 @@ def _outcome_node(net: DiscreteNetwork, config: RunConfig, t: int) -> str:
         if name not in net:
             raise ConfigError(f"outcome node {name!r} is not in the model")
         return name
-    name = net.outcomes.get(t)
-    if name is None:
-        raise ConfigError(f"no outcome variable declared for time point {t}")
-    return name
+    return _declared_outcome(net, t)
 
 
 def _default_covariates(
@@ -732,7 +737,7 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
         _, valid, test = stratified_split(
             cohort,
             [outcome_by_t[t] for t in time_points if outcome_by_t[t] in cohort.columns],
-            _positive_state(net, config, outcome_by_t[time_points[0]]),
+            _positive_state(net.var(outcome_by_t[time_points[0]]), config.positive_state),
             fractions=config.split,
             seed=config.seed,
         )
@@ -809,9 +814,3 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
         config=config,
     )
 
-
-def _positive_state(net: DiscreteNetwork, config: RunConfig, outcome: str) -> str:
-    if config.positive_state is not None:
-        return config.positive_state
-    var = net.var(outcome)
-    return var.states[var.card - 1]

@@ -328,6 +328,42 @@ def test_learn_rejects_template_document(tmp_path, capsys):
     assert "unrolled" in capsys.readouterr().err
 
 
+def _write_learn_inputs(tmp_path, arcs=()):
+    structure = tmp_path / "structure.json"
+    structure.write_text(json.dumps({
+        "kind": "network",
+        "variables": [{"name": "a", "states": ["0", "1"]},
+                      {"name": "b", "states": ["0", "1"]}],
+        "arcs": list(arcs),
+    }), encoding="utf-8")
+    cohort_path = tmp_path / "cohort.csv"
+    cohort_path.write_text("a,b\n1,0\n,1\n0,\n", encoding="utf-8")
+    return ["learn", "--structure", str(structure), "--cohort", str(cohort_path),
+            "--out", str(tmp_path / "fitted.json")]
+
+
+@pytest.mark.parametrize("arcs, extra, message", [
+    ([], ["--alpha", "-1"], "alpha"),
+    ([], ["--max-iter", "0", "--alpha", "1"], "max_iter"),
+    ([["a", "b", "c"]], [], "[parent, child]"),
+], ids=["negative-alpha", "zero-max-iter", "three-element-arc"])
+def test_learn_bad_arguments_exit_1(tmp_path, capsys, arcs, extra, message):
+    assert dispatch(_write_learn_inputs(tmp_path, arcs) + extra) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "fitted.json").exists()
+
+
+def test_infer_malformed_model_exits_1(tmp_path, capsys):
+    model_path = tmp_path / "triple.json"
+    save_model(confounded_triple(0.12), model_path)
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    del doc["variables"][0]["name"]
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = dispatch(["infer", "--model", str(model_path), "--target", "y"])
+    assert rc == 1
+    assert "'name' and 'states'" in capsys.readouterr().err
+
+
 def test_learn_missing_structure_exits_1(tmp_path, capsys):
     rc = dispatch([
         "learn", "--structure", str(tmp_path / "ghost.json"),

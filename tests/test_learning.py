@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdtrial.cohort import Cohort
 from rdtrial.errors import (
@@ -14,9 +16,9 @@ from rdtrial.errors import (
     InsufficientPositives,
     NonFiniteLikelihood,
 )
-from rdtrial.inference import dense_joint
+from rdtrial.inference import dense_joint, log_evidence, row_log_likelihoods
 from rdtrial.learning import (
-    _family_posterior,
+    _expected_counts,
     em_fit,
     mle_fit,
     outcome_labels,
@@ -129,10 +131,32 @@ _SCENARIO = make_confounded_scenario(n=10, seed=0).network
     "scenario-child-observed", "scenario-all-observed",
 ])
 def test_family_posterior_matches_dense_joint(net, child, evidence):
-    got = _family_posterior(net, child, evidence)
+    counts, log_p = _expected_counts(net, [evidence], np.ones(1))
+    got = counts[child].reshape(net.cpts[child].n_configs, -1)
     want = _family_oracle(net, child, evidence)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert log_p[0] == pytest.approx(log_evidence(net, evidence), rel=0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_expected_counts_match_dense_joint_on_random_networks(seed, data):
+    net = random_network(np.random.default_rng(seed), max_nodes=7)
+    # each cell is a state index or -1 for missing
+    cells = st.tuples(*[st.integers(-1, net.card(n) - 1) for n in net.names])
+    rows = data.draw(st.lists(cells, min_size=1, max_size=4, unique=True))
+    patterns = [{n: s for n, s in zip(net.names, row) if s >= 0} for row in rows]
+    weights = np.array(data.draw(st.lists(
+        st.integers(1, 9), min_size=len(rows), max_size=len(rows))), dtype=np.float64)
+
+    counts, log_p = _expected_counts(net, patterns, weights)
+    for child in net.names:
+        want = sum(w * _family_oracle(net, child, pat) for pat, w in zip(patterns, weights))
+        got = counts[child].reshape(net.cpts[child].n_configs, -1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for pat, got in zip(patterns, log_p):
+        assert got == pytest.approx(log_evidence(net, pat), rel=0, abs=1e-12)
 
 
 def test_em_single_iteration_hand_values():
@@ -154,6 +178,17 @@ def test_em_single_iteration_hand_values():
     expect = math.log(5 / 6 * 0.6) + math.log(5 / 6 * 0.4) + math.log(2 / 3)
     assert report.log_likelihood[1] == pytest.approx(expect, abs=1e-12)
     assert report.iterations == 1
+
+
+def test_em_first_trace_entry_is_the_initial_log_likelihood():
+    net = confounded_triple()
+    rng = np.random.default_rng(5)
+    cols = {n: rng.integers(-1, net.card(n), size=60) for n in net.names}
+    _, report = em_fit(net, cols, init="given", max_iter=1)
+    rows = [{n: int(cols[n][r]) for n in net.names if cols[n][r] >= 0} for r in range(60)]
+    assert report.log_likelihood[0] == pytest.approx(
+        float(row_log_likelihoods(net, rows).sum()), rel=0, abs=1e-9
+    )
 
 
 def test_em_complete_data_equals_mle_bitwise():
@@ -234,6 +269,8 @@ def test_em_rejects_bad_arguments():
         em_fit(net, {"x": np.array([0]), "y": np.array([0])}, alpha=-0.5)
     with pytest.raises(ValueError):
         em_fit(net, {}, alpha=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        em_fit(net, {"x": np.array([0, -1]), "y": np.array([0, 1])}, alpha=1.0, max_iter=0)
 
 
 # ---------------------------------------------------------------------------

@@ -104,3 +104,11 @@ def test_bad_documents_are_rejected():
     doc["cpts"]["b"]["rows"] = [[0.9, 0.3], [0.4, 0.6]]  # unnormalized
     with pytest.raises(InvalidModel):
         network_from_dict(doc)
+    doc = network_to_dict(chain_network())
+    del doc["variables"][1]["name"]
+    with pytest.raises(InvalidModel, match="'name' and 'states'"):
+        network_from_dict(doc)
+    doc = network_to_dict(chain_network())
+    doc["cpts"]["b"]["rows"] = [[0.9, 0.1], [0.4]]  # ragged
+    with pytest.raises(InvalidModel, match="'b'"):
+        network_from_dict(doc)

@@ -632,6 +632,13 @@ def test_parse_run_config_rejections(tmp_path):
         parse_run_config({**good, "threads": 0}, tmp_path)
     with pytest.raises(ConfigError, match="model"):
         parse_run_config({"cohort": "c.csv"}, tmp_path)
+    for key, value in [
+        ("alpha", "abc"), ("alpha", None), ("k_min", "x"), ("seed", "x"),
+        ("k_max", [1]), ("split", ["a", "b", "c"]), ("time_points", ["a"]),
+        ("thresholds", {"one": 0.4}), ("thresholds", {"1": "high"}),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            parse_run_config({**good, key: value}, tmp_path)
 
 
 def test_parse_run_config_threshold_map_coercion(tmp_path):
