@@ -11,6 +11,16 @@ Two independent routes are provided on purpose:
 The second route exists as a brute-force oracle for tests and for the
 synthetic-data ground truth; agreement between the two is asserted rather
 than assumed.
+
+Variable elimination is batched. Evidence maps each observed variable to a
+state index or to a 1-D integer array of length B, one entry per row;
+scalars broadcast over the rows. All rows of one call share the same
+observed set (their missingness mask), so they share one elimination order
+and every factor carries a leading batch axis. Each row's result is
+bit-identical to the same row run alone. A scalar call (no array values)
+raises ZeroProbabilityEvidence on impossible evidence; a batched call never
+raises for that and marks the impossible rows instead (nan probabilities,
+log P = -inf), leaving the other rows untouched.
 """
 
 from __future__ import annotations
@@ -30,14 +40,18 @@ from .errors import (
 )
 from .model import Cpt, DiscreteNetwork, mutilate, parent_config_index
 
-Evidence = Mapping[str, int]
+Evidence = Mapping[str, int | np.ndarray]
 
 _ENUM_CELL_CAP = 1 << 26  # dense-joint oracle refuses beyond ~67M cells
 
 
 @dataclass(frozen=True)
 class Posterior:
-    """Distribution over one variable's states given evidence."""
+    """Distribution over one variable's states given evidence.
+
+    ``probs`` has shape (states,) for a scalar query and (B, states) for a
+    batched one; indexing with a state reads the scalar query only.
+    """
 
     target: str
     states: tuple[str, ...]
@@ -49,21 +63,44 @@ class Posterior:
         object.__setattr__(self, "probs", arr)
 
     def __getitem__(self, state: int) -> float:
+        if self.probs.ndim != 1:
+            raise TypeError("a batched posterior is read through .probs[:, state]")
         return float(self.probs[state])
 
 
-def check_evidence(net: DiscreteNetwork, evidence: Evidence) -> dict[str, int]:
-    """Validate an evidence map and normalize it to plain dict[str, int]."""
-    out: dict[str, int] = {}
+def check_evidence(net: DiscreteNetwork, evidence: Evidence) -> dict[str, int | np.ndarray]:
+    """Validate an evidence map; scalars become int, arrays 1-D intp arrays.
+
+    Every array value must have the same nonzero length (the batch size).
+    """
+    out: dict[str, int | np.ndarray] = {}
+    batch = None
     for name, state in evidence.items():
         var = net.var(name)  # raises UnknownVariable
-        s = int(state)
-        if not 0 <= s < var.card:
+        arr = np.asarray(state)
+        if arr.ndim == 0:
+            s = int(state)
+            if not 0 <= s < var.card:
+                raise UnknownState(
+                    f"variable {name!r} has {var.card} states, got index {s}"
+                )
+            out[name] = s
+            continue
+        if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
+            raise ValueError(f"evidence for {name!r} must be a state index or a nonempty 1-D integer array")
+        if batch is not None and arr.size != batch:
+            raise ValueError(f"evidence arrays differ in length: {batch} and {arr.size} ({name!r})")
+        batch = arr.size
+        if arr.min() < 0 or arr.max() >= var.card:
             raise UnknownState(
-                f"variable {name!r} has {var.card} states, got index {s}"
+                f"variable {name!r} has {var.card} states, got indices {arr.min()}..{arr.max()}"
             )
-        out[name] = s
+        out[name] = arr.astype(np.intp, copy=False)
     return out
+
+
+def _batched(ev: Mapping[str, int | np.ndarray]) -> bool:
+    return any(isinstance(s, np.ndarray) for s in ev.values())
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +108,8 @@ def check_evidence(net: DiscreteNetwork, evidence: Evidence) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 class _Factor:
-    """A nonnegative table over a sorted tuple of variable indices."""
+    """A nonnegative table: a batch axis (size 1 or B), then one axis per
+    variable of a sorted tuple of variable indices."""
 
     __slots__ = ("vars", "table")
 
@@ -80,36 +118,53 @@ class _Factor:
         self.table = table
 
 
-def _cpt_factor(net: DiscreteNetwork, cpt: Cpt, evidence: Mapping[str, int]) -> _Factor:
-    """CPT as a factor: slice the observed axes, then order the rest by index."""
+def _cpt_factor(net: DiscreteNetwork, cpt: Cpt, evidence: Mapping[str, np.ndarray]) -> _Factor:
+    """CPT as a factor: observed axes to the front, indexed with the codes."""
     names = (*cpt.parents, cpt.child)
     table = cpt.rows.reshape([net.card(n) for n in names])
-    table = table[tuple(evidence.get(n, slice(None)) for n in names)]
-    free = [net.index(n) for n in names if n not in evidence]
-    perm = sorted(range(len(free)), key=free.__getitem__)
+    seen = [a for a, n in enumerate(names) if n in evidence]
+    free = sorted((a for a, n in enumerate(names) if n not in evidence),
+                  key=lambda a: net.index(names[a]))
+    table = table.transpose(seen + free)
+    # the code arrays broadcast to one leading batch axis; none gives size 1
+    table = table[tuple(evidence[names[a]] for a in seen)] if seen else table[None]
     return _Factor(
-        tuple(free[a] for a in perm),
-        np.ascontiguousarray(table.transpose(perm), dtype=np.float64),
+        tuple(net.index(names[a]) for a in free),
+        np.ascontiguousarray(table, dtype=np.float64),
     )
 
 
 def _multiply(a: _Factor, b: _Factor, cards: Sequence[int]) -> _Factor:
     union = tuple(sorted(set(a.vars) | set(b.vars)))
-    pos = {v: i for i, v in enumerate(union)}
 
     def expand(f: _Factor) -> np.ndarray:
-        shape = [1] * len(union)
-        for v in f.vars:
-            shape[pos[v]] = cards[v]
         # both scopes are sorted, so inserting unit axes keeps the order
-        return f.table.reshape(shape)
+        return f.table.reshape([len(f.table)] + [cards[v] if v in f.vars else 1 for v in union])
 
     return _Factor(union, expand(a) * expand(b))
 
 
 def _sum_out(f: _Factor, var: int) -> _Factor:
-    axis = f.vars.index(var)
+    axis = 1 + f.vars.index(var)
     return _Factor(tuple(v for v in f.vars if v != var), f.table.sum(axis=axis))
+
+
+def _row_sums(table: np.ndarray) -> np.ndarray:
+    # one contiguous pairwise sum per row, the same as summing the row alone
+    return table.reshape(len(table), -1).sum(axis=1)
+
+
+# A zero row total marks a dead row, which _eliminate_all overwrites at the
+# end; the two helpers below give it a harmless log and divisor meanwhile.
+
+def _log(x: np.ndarray) -> np.ndarray:
+    # math.log, not np.log: numpy's SIMD log can differ in the last bit
+    return np.array([math.log(v) if v > 0.0 else 0.0 for v in x.tolist()])
+
+
+def _per_row(total: np.ndarray, ndim: int) -> np.ndarray:
+    """Row totals shaped to divide a (rows, ...) table of ndim axes."""
+    return np.where(total > 0.0, total, 1.0).reshape((len(total),) + (1,) * (ndim - 1))
 
 
 def _min_degree_order(scopes: list[tuple[int, ...]], eliminate: set[int]) -> list[int]:
@@ -136,32 +191,37 @@ def _min_degree_order(scopes: list[tuple[int, ...]], eliminate: set[int]) -> lis
 def _eliminate_all(
     net: DiscreteNetwork,
     keep: set[int],
-    evidence: Mapping[str, int],
+    evidence: Mapping[str, int | np.ndarray],
     elimination_order: Sequence[str] | None = None,
-) -> tuple[np.ndarray, float, tuple[int, ...]]:
-    """Run VE; returns (P(kept | evidence), log P(evidence), kept vars).
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Batched VE; returns (P(kept | evidence), log P(evidence), kept vars).
 
-    The table's axes are the kept variables in index order (0-d when none).
-    Each elimination step renormalizes the fresh factor by its sum and
-    accumulates the log, so long chains cannot underflow. Impossible evidence
-    gives an all-zero table and -inf: the caller decides whether that raises.
+    Evidence values are state indices or 1-D int arrays of one length B
+    (B = 1 when all are scalars). The table has shape (B, kept...), kept
+    variables in index order; log P has shape (B,). The elimination order
+    depends only on which variables are observed, so it is computed once.
+    Each step renormalizes every row of the fresh factor by its own sum and
+    accumulates the log, so long chains cannot underflow. An impossible row
+    gets an all-zero table and -inf; the other rows are unaffected.
     """
     cards = [v.card for v in net.variables]
     kept = tuple(sorted(keep))
-    factors = [_cpt_factor(net, net.cpts[v.name], evidence) for v in net.variables]
+    ev = {n: np.atleast_1d(np.asarray(s, dtype=np.intp)) for n, s in evidence.items()}
+    batch = max((len(s) for s in ev.values()), default=1)
+    factors = [_cpt_factor(net, net.cpts[v.name], ev) for v in net.variables]
 
-    log_scale = 0.0
-    scalar = 1.0
+    dead = np.zeros(batch, dtype=bool)
+    log_scale = np.zeros(1)
+    scalar = np.ones(1)
     live: list[_Factor] = []
     for f in factors:
         if f.vars:
             live.append(f)
         else:
-            scalar *= float(f.table.item())
+            scalar = scalar * f.table
 
-    evid_idx = {net.index(n) for n in evidence}
-    all_vars = set(range(len(cards)))
-    to_eliminate = all_vars - keep - evid_idx
+    evid_idx = {net.index(n) for n in ev}
+    to_eliminate = set(range(len(cards))) - keep - evid_idx
 
     if elimination_order is not None:
         order = [net.index(n) for n in elimination_order]
@@ -178,32 +238,33 @@ def _eliminate_all(
         for g in group[1:]:
             prod = _multiply(prod, g, cards)
         summed = _sum_out(prod, v)
-        total = float(summed.table.sum())
-        if total <= 0.0:
-            return np.zeros([cards[k] for k in kept]), -math.inf, kept
+        total = _row_sums(summed.table)
+        dead |= total <= 0.0
         if summed.vars:
-            summed = _Factor(summed.vars, summed.table / total)
-            log_scale += math.log(total)
+            summed = _Factor(summed.vars, summed.table / _per_row(total, summed.table.ndim))
+            log_scale = log_scale + _log(total)
             live.append(summed)
         else:
-            scalar *= total
+            scalar = scalar * total
 
-    table = np.ones(())
+    table = np.ones(1)
     if kept:
-        # every kept variable's own CPT factor is still live
-        result = live[0]
+        # every kept variable's own CPT factor is still live, and the
+        # product's sorted scope is exactly kept
+        table = live[0]
         for f in live[1:]:
-            result = _multiply(result, f, cards)
-        # axes of result.vars are sorted ascending already
-        if result.vars != kept:  # pragma: no cover - keep is exactly result scope
-            raise AssertionError("kept variable scope mismatch")
-        table = result.table
-    total = float(table.sum())
-    if total <= 0.0 or scalar == 0.0:
-        return np.zeros([cards[k] for k in kept]), -math.inf, kept
+            table = _multiply(table, f, cards)
+        table = table.table
+    total = _row_sums(table)
+    dead |= (total <= 0.0) | (scalar == 0.0)
     # the scalar goes into the log, never into the table: normalized
     # queries must be bit-identical under evidence that only rescales
-    return table / total, log_scale + math.log(scalar) + math.log(total), kept
+    probs = np.array(np.broadcast_to(table / _per_row(total, table.ndim),
+                                     (batch, *table.shape[1:])))
+    log_p = np.array(np.broadcast_to(log_scale + _log(scalar) + _log(total), (batch,)))
+    probs[dead] = 0.0
+    log_p[dead] = -math.inf
+    return probs, log_p, kept
 
 
 # ---------------------------------------------------------------------------
@@ -218,42 +279,48 @@ def posterior(
 ) -> Posterior:
     """Exact P(target | evidence) by variable elimination.
 
-    Raises ZeroProbabilityEvidence when the evidence has probability zero,
-    UnknownVariable/UnknownState for bad references. The optional
-    elimination_order is for tests of order independence.
+    With array-valued evidence the result holds one row per batch entry,
+    nan on rows whose evidence has probability zero. A scalar query raises
+    ZeroProbabilityEvidence instead. UnknownVariable/UnknownState flag bad
+    references. The optional elimination_order is for tests of order
+    independence.
     """
     ev = check_evidence(net, evidence or {})
     var = net.var(target)
     if target in ev:
         raise ValueError(f"target {target!r} must not appear in evidence")
     probs, log_p, _ = _eliminate_all(net, {net.index(target)}, ev, elimination_order)
-    if log_p == -math.inf:
+    if _batched(ev):
+        probs[log_p == -math.inf] = math.nan
+    elif log_p[0] == -math.inf:
         raise ZeroProbabilityEvidence(f"evidence has probability zero: {dict(ev)!r}")
+    else:
+        probs = probs[0]
     return Posterior(target=target, states=var.states, probs=probs)
 
 
 def do_posterior(
     net: DiscreteNetwork,
     target: str,
-    intervention: tuple[str, int],
+    intervention: tuple[str, int | np.ndarray],
     evidence: Evidence | None = None,
 ) -> Posterior:
     """Exact P(target | do(X=x), evidence) via graph surgery.
 
-    Mutilates a copy of the network (deletes arcs into X, uniform prior on
-    X) and conditions on X=x alongside the evidence.
+    Mutilates a copy of the network once (deletes arcs into X, uniform
+    prior on X) and conditions on X=x alongside the evidence. The state x
+    may be an array, one per batch row, like any evidence value; the result
+    is batched as in :func:`posterior`.
     """
     x_name, x_state = intervention
-    var = net.var(x_name)
-    if not 0 <= int(x_state) < var.card:
-        raise UnknownState(f"variable {x_name!r} has {var.card} states, got {x_state}")
+    x = check_evidence(net, {x_name: x_state})[x_name]
     if target == x_name:
         raise ValueError("intervention variable cannot be the query target")
     ev = check_evidence(net, evidence or {})
-    if x_name in ev and ev[x_name] != int(x_state):
+    if x_name in ev and np.any(ev[x_name] != x):
         raise ValueError(f"evidence contradicts intervention on {x_name!r}")
     cut = mutilate(net, x_name)
-    ev[x_name] = int(x_state)
+    ev[x_name] = x
     return posterior(cut, target, ev)
 
 
@@ -277,12 +344,16 @@ def joint_probability(net: DiscreteNetwork, assignment: Mapping[str, int]) -> fl
     return p
 
 
-def log_evidence(net: DiscreteNetwork, evidence: Evidence) -> float:
-    """log P(evidence); -inf when the evidence is impossible."""
+def log_evidence(net: DiscreteNetwork, evidence: Evidence) -> float | np.ndarray:
+    """log P(evidence); -inf when the evidence is impossible.
+
+    A float for scalar evidence, a (B,) array for array-valued evidence.
+    """
     ev = check_evidence(net, evidence)
     if not ev:
         return 0.0
-    return _eliminate_all(net, set(), ev)[1]
+    log_p = _eliminate_all(net, set(), ev)[1]
+    return log_p if _batched(ev) else float(log_p[0])
 
 
 def row_log_likelihoods(
@@ -290,17 +361,16 @@ def row_log_likelihoods(
 ) -> np.ndarray:
     """Per-row log P(observed part); -inf entries flag impossible rows.
 
-    Rows with no observed values contribute exactly 0. Identical observation
-    patterns are collapsed internally, so cost scales with the number of
-    distinct patterns rather than the number of rows.
+    Rows with no observed values contribute exactly 0. Rows are grouped by
+    their observed set, and each group is one batched elimination.
     """
     out = np.zeros(len(rows))
-    cache: dict[tuple[tuple[str, int], ...], float] = {}
+    groups: dict[tuple[str, ...], list[int]] = {}
     for i, row in enumerate(rows):
-        key = tuple(sorted(row.items()))
-        if key not in cache:
-            cache[key] = log_evidence(net, dict(key))
-        out[i] = cache[key]
+        groups.setdefault(tuple(sorted(row)), []).append(i)
+    for names, idx in groups.items():
+        if names:
+            out[idx] = log_evidence(net, {n: np.array([rows[i][n] for i in idx]) for n in names})
     return out
 
 

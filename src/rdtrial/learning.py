@@ -121,36 +121,56 @@ def _expected_counts(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """E-step: weighted (parents..., child) counts per variable, log P per pattern.
 
-    VE runs once per (pattern, variable whose family has a hidden member) and
-    its normalizer is the pattern's log P; a pattern with nothing hidden takes
-    log P from log_evidence. A zero-probability pattern raises.
+    Patterns are grouped by their observed set (mask). Per mask, VE runs once
+    per variable whose family has a hidden member, batched over the mask's
+    patterns, and the last run's normalizer is each pattern's log P; a mask
+    with nothing hidden takes log P from log_evidence. Every count cell adds
+    its contributions in pattern order. A zero-probability pattern raises.
     """
     families = {v.name: (*net.cpts[v.name].parents, v.name) for v in net.variables}
-    counts = {n: np.zeros([net.card(f) for f in fam]) for n, fam in families.items()}
+    masks: dict[tuple[str, ...], list[int]] = {}
+    for i, pat in enumerate(patterns):
+        masks.setdefault(tuple(sorted(pat)), []).append(i)
     log_p = np.zeros(len(patterns))
-    for i, (pat, w) in enumerate(zip(patterns, weights)):
+    # per variable: (pattern index, flat count cell, weighted posterior) arrays
+    parts: dict[str, list[tuple[np.ndarray, ...]]] = {n: [] for n in families}
+    for names, rows in masks.items():
+        ev = {n: np.array([patterns[i][n] for i in rows]) for n in names}
+        w = np.asarray(weights, dtype=np.float64)[rows]
         ll = None
         for name, family in families.items():
-            hidden = [f for f in family if f not in pat]
-            at = tuple(slice(None) if f in hidden else pat[f] for f in family)
-            table = 1.0
+            hidden = [f for f in family if f not in ev]
+            table = np.ones(len(rows))
             if hidden:
                 table, ll, kept = inference._eliminate_all(
-                    net, {net.index(h) for h in hidden}, pat
+                    net, {net.index(h) for h in hidden}, ev
                 )
-                if ll == -np.inf:
-                    break
                 # VE returns axes in global index order; the tensor wants family order
-                table = np.transpose(table, [kept.index(net.index(h)) for h in hidden])
-            counts[name][at] += w * table
+                table = np.transpose(table, [0, *(1 + kept.index(net.index(h)) for h in hidden)])
+            lead = (len(rows),) + (1,) * len(hidden)
+            value = w.reshape(lead) * table
+            grid = dict(zip(hidden, np.ix_(*(np.arange(net.card(h)) for h in hidden))))
+            index = [ev[f].reshape(lead) if f in ev else grid[f][None] for f in family]
+            owner, *index = np.broadcast_arrays(np.reshape(rows, lead), *index, value)[:-1]
+            cell = np.ravel_multi_index(index, [net.card(f) for f in family])
+            parts[name].append((owner.ravel(), cell.ravel(), value.ravel()))
         if ll is None:
-            ll = inference.log_evidence(net, pat)
-        if ll == -np.inf:
-            raise NonFiniteLikelihood(
-                f"observation pattern {pat!r} has probability zero "
-                f"under the current parameters (structural zero)"
-            )
-        log_p[i] = ll
+            ll = inference.log_evidence(net, ev)
+        log_p[rows] = ll
+
+    impossible = np.flatnonzero(log_p == -np.inf)
+    if impossible.size:
+        raise NonFiniteLikelihood(
+            f"observation pattern {patterns[impossible[0]]!r} has probability zero "
+            f"under the current parameters (structural zero)"
+        )
+    counts = {}
+    for name, family in families.items():
+        owner, cell, value = (np.concatenate(a) for a in zip(*parts[name]))
+        order = np.argsort(owner, kind="stable")
+        flat = np.zeros(int(np.prod([net.card(f) for f in family])))
+        np.add.at(flat, cell[order], value[order])
+        counts[name] = flat.reshape([net.card(f) for f in family])
     return counts, log_p
 
 

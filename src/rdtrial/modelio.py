@@ -43,12 +43,31 @@ def _interval_out(iv: tuple[float, float]) -> list:
     return [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi]
 
 
+def _list_in(raw, what: str) -> list:
+    if not isinstance(raw, (list, tuple)):
+        raise InvalidModel(f"{what} must be a list, got {raw!r}")
+    return raw
+
+
+def _arcs_in(raw, what: str) -> list[tuple]:
+    arcs = _list_in(raw, what)
+    for arc in arcs:
+        if not isinstance(arc, (list, tuple)) or len(arc) != 2:
+            raise InvalidModel(f"each of {what} must be a [parent, child] pair, got {arc!r}")
+    return [tuple(arc) for arc in arcs]
+
+
 def _interval_in(raw) -> tuple[float, float]:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise InvalidModel(f"an interval must be a [lo, hi] pair, got {raw!r}")
     lo, hi = raw
-    return (
-        float("-inf") if lo is None else float(lo),
-        float("inf") if hi is None else float(hi),
-    )
+    try:
+        return (
+            float("-inf") if lo is None else float(lo),
+            float("inf") if hi is None else float(hi),
+        )
+    except (TypeError, ValueError):
+        raise InvalidModel(f"interval bounds must be numbers or null, got {raw!r}") from None
 
 
 def _variables_out(variables) -> list[dict]:
@@ -63,16 +82,19 @@ def _variables_out(variables) -> list[dict]:
 
 def _variables_in(raw) -> list[VariableDef]:
     out = []
-    for d in raw:
+    for d in _list_in(raw, "'variables'"):
         if not isinstance(d, dict) or "name" not in d or "states" not in d:
             raise InvalidModel(f"each variable needs 'name' and 'states', got {d!r}")
+        name = str(d["name"])
         intervals = d.get("intervals")
         out.append(
             VariableDef(
-                name=str(d["name"]),
-                states=tuple(str(s) for s in d["states"]),
+                name=name,
+                states=tuple(str(s) for s in _list_in(d["states"], f"states of {name!r}")),
                 kind=str(d.get("kind", "per_slice")),
-                intervals=None if intervals is None else tuple(_interval_in(iv) for iv in intervals),
+                intervals=None if intervals is None else tuple(
+                    _interval_in(iv) for iv in _list_in(intervals, f"intervals of {name!r}")
+                ),
             )
         )
     return out
@@ -86,9 +108,14 @@ def _cpts_out(cpts) -> dict:
 
 
 def _cpts_in(raw) -> dict[str, Cpt]:
+    if not isinstance(raw, dict):
+        raise InvalidModel(f"'cpts' must map node names to CPTs, got {raw!r}")
     out = {}
     for name, d in raw.items():
-        out[name] = Cpt(child=str(name), parents=tuple(d.get("parents", ())), rows=d["rows"])
+        if not isinstance(d, dict) or "rows" not in d:
+            raise InvalidModel(f"CPT for {name!r} needs 'rows', got {d!r}")
+        parents = _list_in(d.get("parents", []), f"parents of {name!r}")
+        out[name] = Cpt(child=str(name), parents=tuple(parents), rows=d["rows"])
     return out
 
 
@@ -108,9 +135,15 @@ def network_from_dict(doc: dict) -> DiscreteNetwork:
     if "variables" not in doc:
         raise InvalidModel("model document has no 'variables' key")
     variables = _variables_in(doc["variables"])
-    arcs = [tuple(a) for a in doc.get("arcs", ())]
+    arcs = _arcs_in(doc.get("arcs", []), "'arcs'")
     cpts = _cpts_in(doc.get("cpts", {}))
-    outcomes = {int(t): str(n) for t, n in doc.get("outcomes", {}).items()}
+    outcomes = doc.get("outcomes", {})
+    if not isinstance(outcomes, dict):
+        raise InvalidModel(f"'outcomes' must map time points to node names, got {outcomes!r}")
+    try:
+        outcomes = {int(t): str(n) for t, n in outcomes.items()}
+    except ValueError:
+        raise InvalidModel(f"'outcomes' keys must be time points, got {list(outcomes)!r}") from None
     net = DiscreteNetwork(variables, arcs, cpts, outcomes)
     report = validate_network(net)
     if not report.ok:
@@ -142,17 +175,23 @@ def template_from_dict(doc: dict) -> DbnTemplate:
     if "template" not in doc or "variables" not in doc:
         raise InvalidModel("template document needs 'template' and 'variables' keys")
     t = doc["template"]
+    if not isinstance(t, dict):
+        raise InvalidModel(f"'template' must be an object, got {t!r}")
     static_arcs = []
-    for arc in t.get("static_arcs", ()):
-        if len(arc) == 2:
-            static_arcs.append((arc[0], arc[1], None))
-        else:
-            static_arcs.append((arc[0], arc[1], tuple(int(x) for x in arc[2])))
+    for arc in _list_in(t.get("static_arcs", []), "'static_arcs'"):
+        bad = f"each static arc must be [parent, child] or [parent, child, [t, ...]], got {arc!r}"
+        if not isinstance(arc, (list, tuple)) or len(arc) not in (2, 3):
+            raise InvalidModel(bad)
+        try:
+            slices = None if len(arc) == 2 else tuple(int(x) for x in arc[2])
+        except (TypeError, ValueError):
+            raise InvalidModel(bad) from None
+        static_arcs.append((arc[0], arc[1], slices))
     return DbnTemplate(
         variables=tuple(_variables_in(doc["variables"])),
-        slice0_arcs=tuple((a, b) for a, b in t.get("slice0_arcs", ())),
-        intra_arcs=tuple((a, b) for a, b in t.get("intra_arcs", ())),
-        inter_arcs=tuple((a, b) for a, b in t.get("inter_arcs", ())),
+        slice0_arcs=tuple(_arcs_in(t.get("slice0_arcs", []), "'slice0_arcs'")),
+        intra_arcs=tuple(_arcs_in(t.get("intra_arcs", []), "'intra_arcs'")),
+        inter_arcs=tuple(_arcs_in(t.get("inter_arcs", []), "'inter_arcs'")),
         static_arcs=tuple(static_arcs),
         cpts=_cpts_in(doc.get("cpts", {})),
     )

@@ -30,7 +30,6 @@ from .errors import (
     EmptySample,
     NoCausalPath,
     TooFewRecords,
-    ZeroProbabilityEvidence,
 )
 from .inference import do_posterior, posterior
 from .learning import stratified_split
@@ -91,6 +90,21 @@ def _positive_state(out_var: VariableDef, positive_state: str | None) -> str:
     return out_var.states[-1] if positive_state is None else positive_state
 
 
+def _patterns_by_mask(codes: np.ndarray, names: Sequence[str]):
+    """Group the rows of a code matrix (-1 = missing) by observed set.
+
+    Yields (rows, observed names, distinct patterns, pattern of each row):
+    the patterns are the distinct code rows over the observed columns, so
+    one batched query per mask answers every row of it.
+    """
+    masks, mask_of = np.unique(codes >= 0, axis=0, return_inverse=True)
+    for m, mask in enumerate(masks):
+        rows = np.flatnonzero(mask_of.ravel() == m)
+        cols = np.flatnonzero(mask)
+        pats, pat_of = np.unique(codes[np.ix_(rows, cols)], axis=0, return_inverse=True)
+        yield rows, [names[j] for j in cols], pats, pat_of.ravel()
+
+
 def score_cohort(
     net: DiscreteNetwork,
     cohort: Cohort,
@@ -105,8 +119,10 @@ def score_cohort(
     plus non-outcome observations at slice t (statics and entry values
     count as baseline). Records with a missing outcome cell, or whose
     evidence has probability zero under the model, are excluded with their
-    ids recorded. Scores are memoized per distinct evidence pattern, so
-    cost scales with pattern diversity rather than cohort size.
+    ids recorded. Records are grouped by their observed set: one batched
+    posterior call per missingness mask scores every distinct evidence
+    pattern under it, so cost scales with pattern diversity rather than
+    cohort size.
     """
     if outcome is None:
         outcome = _declared_outcome(net, t)
@@ -123,36 +139,29 @@ def score_cohort(
     enc = encode_columns(net, cohort, [*ev_cols, outcome])
     out_codes = enc[outcome]
 
-    cache: dict[tuple[tuple[str, int], ...], float | None] = {}
+    codes = np.array([enc[c] for c in ev_cols], dtype=np.int64).reshape(len(ev_cols), len(cohort)).T
+    labeled = np.flatnonzero(out_codes >= 0)
+    scores = np.full(len(cohort), np.nan)
+    for rows, names, pats, pat_of in _patterns_by_mask(codes[labeled], ev_cols):
+        post = posterior(net, outcome, {c: pats[:, j] for j, c in enumerate(names)})
+        scores[labeled[rows]] = np.broadcast_to(post.probs[..., pos_idx], len(pats))[pat_of]
+
     records: list[ScoredRecord] = []
     missing: list[int] = []
     impossible: list[int] = []
-    for r in range(len(cohort)):
-        rid = int(cohort.ids[r])
+    for r, (rid, row, score) in enumerate(zip(cohort.ids.tolist(), codes.tolist(), scores.tolist())):
         if out_codes[r] < 0:
             missing.append(rid)
-            continue
-        ev = {c: int(enc[c][r]) for c in ev_cols if enc[c][r] >= 0}
-        key = tuple(sorted(ev.items()))
-        if key in cache:
-            score = cache[key]
-        else:
-            try:
-                score = posterior(net, outcome, ev)[pos_idx]
-            except ZeroProbabilityEvidence:
-                score = None
-            cache[key] = score
-        if score is None:
+        elif math.isnan(score):
             impossible.append(rid)
-            continue
-        dist = None if threshold is None else abs(score - threshold)
-        records.append(ScoredRecord(
-            record_id=rid,
-            evidence=ev,
-            label=bool(out_codes[r] == pos_idx),
-            score=score,
-            distance=dist,
-        ))
+        else:
+            records.append(ScoredRecord(
+                record_id=rid,
+                evidence={c: st for c, st in zip(ev_cols, row) if st >= 0},
+                label=bool(out_codes[r] == pos_idx),
+                score=score,
+                distance=None if threshold is None else abs(score - threshold),
+            ))
     return ScoringResult(
         records=tuple(records),
         outcome=outcome,
@@ -312,25 +321,6 @@ class EffectTable:
     rank: int | None = None
 
 
-def _effect_query(
-    net: DiscreteNetwork,
-    outcome: str,
-    variable: str,
-    x_idx: int,
-    ev: dict[str, int],
-    mode: str,
-    pos_idx: int,
-) -> float | None:
-    try:
-        if mode == "causal":
-            post = do_posterior(net, outcome, (variable, x_idx), ev)
-        else:
-            post = posterior(net, outcome, {**ev, variable: x_idx})
-        return post[pos_idx]
-    except ZeroProbabilityEvidence:
-        return None
-
-
 def estimate_effects(
     net: DiscreteNetwork,
     records: Sequence[ScoredRecord],
@@ -353,8 +343,9 @@ def estimate_effects(
     query evidence is impossible are counted as failures for that category,
     so n + failures equals the window size for every category.
 
-    Each distinct evidence pattern is queried once per category, in one
-    serial pass.
+    Records are grouped by the observed set of Z: per missingness mask,
+    every (distinct pattern, category) pair is one row of a single batched
+    query, so causal mode mutilates the network once per mask.
     """
     if mode not in ("causal", "associational"):
         raise ValueError(f"mode must be 'causal' or 'associational', got {mode!r}")
@@ -372,32 +363,36 @@ def estimate_effects(
     excluded = set(net.outcomes.values()) | {outcome, variable}
 
     ordered = sorted(records, key=lambda r: r.record_id)
-    keys = [
-        tuple(sorted(
-            (name, st) for name, st in rec.evidence.items()
-            if name not in excluded and slice_rank(name) <= s
-        ))
-        for rec in ordered
+    names = [
+        name for name in sorted({n for rec in ordered for n in rec.evidence}, key=net.index)
+        if name not in excluded and slice_rank(name) <= s
     ]
-    effects = {
-        key: [
-            _effect_query(net, outcome, variable, x, dict(key), mode, pos_idx)
-            for x in range(var.card)
-        ]
-        for key in dict.fromkeys(keys)
-    }
+    codes = np.array(
+        [[rec.evidence.get(name, -1) for name in names] for rec in ordered], dtype=np.int64
+    ).reshape(len(ordered), len(names))
+    # per record and category; nan where the query evidence is impossible
+    values = np.empty((len(ordered), var.card))
+    for rows, observed, pats, pat_of in _patterns_by_mask(codes, names):
+        # one batch row per (pattern, category), categories varying fastest
+        ev = {name: np.repeat(pats[:, j], var.card) for j, name in enumerate(observed)}
+        x = np.tile(np.arange(var.card), len(pats))
+        if mode == "causal":
+            post = do_posterior(net, outcome, (variable, x), ev)
+        else:
+            post = posterior(net, outcome, {**ev, variable: x})
+        values[rows] = post.probs[:, pos_idx].reshape(len(pats), var.card)[pat_of]
 
     cats: list[CategoryEffect] = []
     for x in range(var.card):
-        vals = [effects[key][x] for key in keys]
-        arr = np.array([v for v in vals if v is not None], dtype=np.float64)
+        ok = ~np.isnan(values[:, x])
+        arr = values[ok, x]
         arr.setflags(write=False)
         cats.append(CategoryEffect(
             category=var.states[x],
             n=int(arr.size),
             mean=float(arr.mean()) if arr.size else float("nan"),
             std=float(arr.std()) if arr.size else float("nan"),
-            failures=vals.count(None),
+            failures=int(ok.size - arr.size),
             values=arr,
         ))
     t_out = int(out_rank) if t is None else int(t)

@@ -45,6 +45,24 @@ def random_network(
     return DiscreteNetwork(variables=variables, arcs=arcs, cpts=cpts)
 
 
+def with_structural_zeros(
+    net: DiscreteNetwork, rng: np.random.Generator, frac: float = 0.3
+) -> DiscreteNetwork:
+    """Copy of net with about frac of its CPT cells set to zero.
+
+    Every row keeps at least one nonzero cell and is renormalized, so some
+    evidence patterns become impossible while the network stays valid.
+    """
+    cpts: dict[str, Cpt] = {}
+    for name, cpt in net.cpts.items():
+        rows = cpt.rows.copy()
+        zero = rng.random(rows.shape) < frac
+        zero[np.arange(len(rows)), rng.integers(0, rows.shape[1], size=len(rows))] = False
+        rows[zero] = 0.0
+        cpts[name] = Cpt(cpt.child, cpt.parents, rows / rows.sum(axis=1, keepdims=True))
+    return DiscreteNetwork(net.variables, net.arcs, cpts, net.outcomes)
+
+
 def random_evidence(
     rng: np.random.Generator, net: DiscreteNetwork, exclude: tuple[str, ...] = ()
 ) -> dict[str, int]:

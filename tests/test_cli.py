@@ -364,6 +364,20 @@ def test_infer_malformed_model_exits_1(tmp_path, capsys):
     assert "'name' and 'states'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("arcs", [["x", "y", "z"]]), ("arcs", 5), ("cpts", [1]), ("outcomes", {"a": "y"}),
+])
+def test_infer_malformed_model_shape_exits_1(tmp_path, capsys, field, value):
+    model_path = tmp_path / "triple.json"
+    save_model(confounded_triple(0.12), model_path)
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    doc[field] = value
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = dispatch(["infer", "--model", str(model_path), "--target", "y"])
+    assert rc == 1
+    assert repr(field) in capsys.readouterr().err
+
+
 def test_learn_missing_structure_exits_1(tmp_path, capsys):
     rc = dispatch([
         "learn", "--structure", str(tmp_path / "ghost.json"),

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdtrial.errors import (
     IncompleteAssignment,
@@ -25,7 +27,7 @@ from rdtrial.inference import (
 from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
 from rdtrial.synth import confounded_triple
 
-from helpers import chain_network, random_evidence, random_network
+from helpers import chain_network, random_evidence, random_network, with_structural_zeros
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,131 @@ def test_log_evidence_matches_enumeration():
             idx[net.index(name)] = state
         brute = float(joint[tuple(idx)].sum())
         assert log_evidence(net, evidence) == pytest.approx(math.log(brute), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched evidence: one elimination per missingness mask
+# ---------------------------------------------------------------------------
+
+def _scalar_or_nan(query, card):
+    try:
+        return query().probs
+    except ZeroProbabilityEvidence:
+        return np.full(card, np.nan)
+
+
+def _oracle(net, target, evidence, skip=None):
+    """Dense-joint P(target | evidence), with skip's CPT left out (the
+    truncated factorization of do(skip)); nan when the evidence is impossible."""
+    joint = dense_joint(net, skip_cpt=skip)
+    idx = [slice(None)] * len(net.names)
+    for name, state in evidence.items():
+        idx[net.index(name)] = slice(state, state + 1)
+    sub = joint[tuple(idx)]
+    marg = sub.sum(axis=tuple(i for i in range(sub.ndim) if i != net.index(target)))
+    total = float(marg.sum())
+    return marg / total if total > 0 else np.full(marg.shape, np.nan), total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batched_queries_equal_scalar_calls_row_by_row(seed):
+    rng = np.random.default_rng(seed)
+    net = with_structural_zeros(random_network(rng, min_nodes=3, max_nodes=7), rng)
+    target, x = (net.names[int(i)] for i in rng.choice(len(net.names), 2, replace=False))
+    others = [n for n in net.names if n not in (target, x)]
+    cards = np.array([net.card(n) for n in others], dtype=np.int64)
+    # a few masks, rows assigned to them at random; duplicate rows allowed
+    masks = rng.random((int(rng.integers(1, 4)), len(others))) < 0.6
+    rows = int(rng.integers(1, 13))
+    mask_of = rng.integers(0, len(masks), size=rows)
+    codes = (rng.random((rows, len(others))) * cards).astype(np.int64)
+    xs = rng.integers(0, net.card(x), size=rows)
+
+    for m, mask in enumerate(masks):
+        sel = np.flatnonzero(mask_of == m)
+        if sel.size == 0:
+            continue
+        observed = [n for n, on in zip(others, mask) if on]
+        ev = {n: codes[sel, others.index(n)] for n in observed}
+        do = do_posterior(net, target, (x, xs[sel]), ev).probs
+        post = posterior(net, target, ev).probs if ev else None
+        log_p = log_evidence(net, ev) if ev else None
+        for i, r in enumerate(sel):
+            row = {n: int(codes[r, others.index(n)]) for n in observed}
+            card = net.card(target)
+            want_do = _scalar_or_nan(lambda: do_posterior(net, target, (x, int(xs[r])), row), card)
+            assert np.array_equal(do[i], want_do, equal_nan=True)
+            truth, _ = _oracle(net, target, {**row, x: int(xs[r])}, skip=x)
+            np.testing.assert_allclose(do[i], truth, rtol=0, atol=1e-12)
+            if not ev:
+                continue
+            want = _scalar_or_nan(lambda: posterior(net, target, row), card)
+            assert np.array_equal(post[i], want, equal_nan=True)
+            truth, total = _oracle(net, target, row)
+            np.testing.assert_allclose(post[i], truth, rtol=0, atol=1e-12)
+            assert log_p[i] == log_evidence(net, row)
+            if total > 0:
+                assert log_p[i] == pytest.approx(math.log(total), rel=0, abs=1e-12)
+            else:
+                assert log_p[i] == -math.inf and np.isnan(post[i]).all()
+
+        # reordering or splitting the batch moves rows, never their bits
+        perm = rng.permutation(sel.size)
+        shuffled = do_posterior(net, target, (x, xs[sel][perm]), {n: v[perm] for n, v in ev.items()})
+        assert np.array_equal(shuffled.probs, do[perm], equal_nan=True)
+        if ev:
+            cut = sel.size // 2 or 1
+            parts = [posterior(net, target, {n: v[part] for n, v in ev.items()}).probs
+                     for part in (slice(None, cut), slice(cut, None)) if len(sel[part])]
+            assert np.array_equal(np.concatenate(parts), post, equal_nan=True)
+            shuffled = log_evidence(net, {n: v[perm] for n, v in ev.items()})
+            assert np.array_equal(shuffled, log_p[perm])
+
+
+def test_batched_impossible_rows_do_not_poison_the_others():
+    # b is a deterministic copy of a: rows with a != b are impossible
+    net = DiscreteNetwork(
+        variables=[VariableDef(name=n, states=("0", "1")) for n in "abc"],
+        arcs=[("a", "b"), ("b", "c")],
+        cpts={
+            "a": Cpt("a", (), np.array([[0.5, 0.5]])),
+            "b": Cpt("b", ("a",), np.array([[1.0, 0.0], [0.0, 1.0]])),
+            "c": Cpt("c", ("b",), np.array([[0.8, 0.2], [0.3, 0.7]])),
+        },
+    )
+    a, b = np.array([0, 0, 1, 1]), np.array([1, 0, 0, 1])
+    post = posterior(net, "c", {"a": a, "b": b}).probs
+    log_p = log_evidence(net, {"a": a, "b": b})
+    assert np.isnan(post[[0, 2]]).all() and (log_p[[0, 2]] == -math.inf).all()
+    assert np.array_equal(post[1], posterior(net, "c", {"a": 0, "b": 0}).probs)
+    assert np.array_equal(post[3], posterior(net, "c", {"a": 1, "b": 1}).probs)
+    assert log_p[1] == log_evidence(net, {"a": 0, "b": 0}) == math.log(0.5)
+    # the do-state may be the batched value; scalar evidence broadcasts
+    do = do_posterior(net, "c", ("b", np.array([0, 1, 1])), {"a": 0}).probs
+    assert np.array_equal(do[1], do[2])
+    assert do[0] == pytest.approx([0.8, 0.2], abs=1e-15)
+    assert do[1] == pytest.approx([0.3, 0.7], abs=1e-15)
+    # a batch of one is the scalar query with a leading axis
+    one = posterior(net, "c", {"a": np.array([1])})
+    assert one.probs.shape == (1, 2)
+    assert np.array_equal(one.probs[0], posterior(net, "c", {"a": 1}).probs)
+    with pytest.raises(TypeError, match="batched"):
+        one[1]
+
+
+def test_batched_evidence_validation():
+    net = chain_network()
+    with pytest.raises(Exception, match="state"):
+        posterior(net, "c", {"a": np.array([0, 2])})
+    with pytest.raises(ValueError, match="length"):
+        posterior(net, "c", {"a": np.array([0, 1]), "b": np.array([0, 1, 1])})
+    with pytest.raises(ValueError, match="1-D integer array"):
+        posterior(net, "c", {"a": np.array([0.0, 1.0])})
+    with pytest.raises(ValueError, match="1-D integer array"):
+        posterior(net, "c", {"a": np.zeros((2, 2), dtype=int)})
+    with pytest.raises(ValueError, match="contradicts"):
+        do_posterior(net, "c", ("a", np.array([0, 1])), {"a": np.array([0, 0])})
 
 
 # ---------------------------------------------------------------------------

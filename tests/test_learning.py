@@ -16,6 +16,7 @@ from rdtrial.errors import (
     InsufficientPositives,
     NonFiniteLikelihood,
 )
+from rdtrial import inference
 from rdtrial.inference import dense_joint, log_evidence, row_log_likelihoods
 from rdtrial.learning import (
     _expected_counts,
@@ -157,6 +158,50 @@ def test_expected_counts_match_dense_joint_on_random_networks(seed, data):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     for pat, got in zip(patterns, log_p):
         assert got == pytest.approx(log_evidence(net, pat), rel=0, abs=1e-12)
+
+
+def _reference_expected_counts(net, patterns, weights):
+    """The per-pattern E-step: one scalar elimination per (pattern, family
+    with a hidden member), added into the count tensors in pattern order."""
+    families = {v.name: (*net.cpts[v.name].parents, v.name) for v in net.variables}
+    counts = {n: np.zeros([net.card(f) for f in fam]) for n, fam in families.items()}
+    log_p = np.zeros(len(patterns))
+    for i, (pat, w) in enumerate(zip(patterns, weights)):
+        ll = None
+        for name, family in families.items():
+            hidden = [f for f in family if f not in pat]
+            table = 1.0
+            if hidden:
+                tables, lls, kept = inference._eliminate_all(
+                    net, {net.index(h) for h in hidden}, pat)
+                table = np.transpose(tables[0], [kept.index(net.index(h)) for h in hidden])
+                ll = lls[0]
+            counts[name][tuple(slice(None) if f in hidden else pat[f] for f in family)] += w * table
+        log_p[i] = log_evidence(net, pat) if ll is None else ll
+    return counts, log_p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_expected_counts_equal_the_per_pattern_loop_bitwise(seed, data):
+    net = random_network(np.random.default_rng(seed), max_nodes=7)
+    cells = st.tuples(*[st.integers(-1, net.card(n) - 1) for n in net.names])
+    rows = data.draw(st.lists(cells, min_size=1, max_size=12, unique=True))
+    # few masks, so that patterns share masks and count cells
+    masks = data.draw(st.lists(st.lists(st.booleans(), min_size=len(net.names),
+                                        max_size=len(net.names)), min_size=1, max_size=3))
+    patterns = []
+    for i, row in enumerate(rows):
+        mask = masks[i % len(masks)]
+        pat = {n: s for n, s, on in zip(net.names, row, mask) if on and s >= 0}
+        if pat not in patterns:
+            patterns.append(pat)
+    weights = np.arange(1.0, len(patterns) + 1) / 3.0
+    counts, log_p = _expected_counts(net, patterns, weights)
+    want_counts, want_log_p = _reference_expected_counts(net, patterns, weights)
+    assert np.array_equal(log_p, want_log_p)
+    for name in net.names:
+        assert np.array_equal(counts[name], want_counts[name])
 
 
 def test_em_single_iteration_hand_values():

@@ -112,3 +112,68 @@ def test_bad_documents_are_rejected():
     doc["cpts"]["b"]["rows"] = [[0.9, 0.1], [0.4]]  # ragged
     with pytest.raises(InvalidModel, match="'b'"):
         network_from_dict(doc)
+
+    # malformed shapes: each used to escape as ValueError/TypeError/
+    # AttributeError/KeyError from unpacking before any check ran
+    def binned_chain():
+        doc = network_to_dict(chain_network())
+        doc["variables"][0]["intervals"] = [[None, 1.0], [1.0, None]]
+        doc["outcomes"] = {"1": "c"}
+        return doc
+
+    breakages = {
+        "3-element arc": lambda d: d["arcs"].append(["a", "b", "c"]),
+        "arcs not a list": lambda d: d.update(arcs=5),
+        "states not a list": lambda d: d["variables"][1].update(states=3),
+        "variables not a list": lambda d: d.update(variables={"a": 1}),
+        "cpts not a map": lambda d: d.update(cpts=[1]),
+        "cpt without rows": lambda d: d["cpts"]["b"].pop("rows"),
+        "cpt not a map": lambda d: d["cpts"].update(b=[0.5, 0.5]),
+        "parents not a list": lambda d: d["cpts"]["b"].update(parents="a"),
+        "outcome key": lambda d: d.update(outcomes={"a": "c"}),
+        "outcomes not a map": lambda d: d.update(outcomes=["c"]),
+        "interval of one bound": lambda d: d["variables"][0]["intervals"].__setitem__(0, [1]),
+        "interval bound a string": lambda d: d["variables"][0]["intervals"].__setitem__(0, ["x", 1.0]),
+        "intervals not a list": lambda d: d["variables"][0].update(intervals=2),
+    }
+    network_from_dict(binned_chain())  # the unbroken document loads
+    for what, breakage in breakages.items():
+        doc = binned_chain()
+        breakage(doc)
+        with pytest.raises(InvalidModel):
+            network_from_dict(doc)
+            pytest.fail(f"{what} was accepted")
+
+
+def _template_doc() -> dict:
+    return template_to_dict(DbnTemplate(
+        variables=[
+            VariableDef(name="sex", states=("f", "m"), kind="static"),
+            VariableDef(name="lab", states=("lo", "hi"), kind="per_slice"),
+        ],
+        inter_arcs=(("lab", "lab"),),
+        static_arcs=(("sex", "lab", (0,)),),
+        cpts={
+            "sex": Cpt("sex", (), np.array([[0.5, 0.5]])),
+            "lab@0": Cpt("lab", ("sex",), np.array([[0.4, 0.6], [0.1, 0.9]])),
+            "lab@t": Cpt("lab", ("lab@t-1",), np.array([[0.8, 0.2], [0.3, 0.7]])),
+        },
+    ))
+
+
+@pytest.mark.parametrize("breakage", [
+    lambda t: t.update(static_arcs=[["sex"]]),
+    lambda t: t.update(static_arcs=[["sex", "lab", [0], 1]]),
+    lambda t: t.update(static_arcs=[["sex", "lab", 0]]),
+    lambda t: t.update(static_arcs=[["sex", "lab", ["a"]]]),
+    lambda t: t.update(static_arcs=4),
+    lambda t: t.update(inter_arcs=[["lab", "lab", "lab"]]),
+    lambda t: t.update(intra_arcs="lab"),
+], ids=["short", "long", "slices-not-list", "slice-not-int", "not-list",
+        "3-element-inter-arc", "intra-not-list"])
+def test_bad_template_arcs_are_rejected(breakage):
+    template_from_dict(_template_doc())  # the unbroken document loads
+    doc = _template_doc()
+    breakage(doc["template"])
+    with pytest.raises(InvalidModel):
+        template_from_dict(doc)

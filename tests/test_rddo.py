@@ -13,9 +13,10 @@ from rdtrial.errors import (
     DegenerateTable,
     NoCausalPath,
     TooFewRecords,
+    ZeroProbabilityEvidence,
 )
-from rdtrial.inference import posterior
-from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
+from rdtrial.inference import do_posterior, posterior
+from rdtrial.model import Cpt, DiscreteNetwork, VariableDef, has_directed_path, slice_rank
 from rdtrial.modelio import save_model
 from rdtrial.rddo import (
     RunConfig,
@@ -32,7 +33,24 @@ from rdtrial.rddo import (
 from rdtrial.stats import sample_power
 from rdtrial.synth import confounded_triple, make_confounded_scenario, sample_cohort
 
-from helpers import chain_network, reference_chi2_homogeneity
+from helpers import (
+    chain_network,
+    random_network,
+    reference_chi2_homogeneity,
+    with_structural_zeros,
+)
+
+
+def _random_rows(rng, net, names, n, p_missing=0.4):
+    """n rows of state indices over names, -1 for a missing cell; a third
+    of the rows repeat an earlier one, so patterns recur."""
+    cards = np.array([net.card(c) for c in names], dtype=np.int64)
+    codes = (rng.random((n, len(names))) * cards).astype(np.int64)
+    codes[rng.random((n, len(names))) < p_missing] = -1
+    for r in range(1, n):
+        if rng.random() < 1 / 3:
+            codes[r] = codes[int(rng.integers(0, r))]
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +139,40 @@ def test_score_cohort_evidence_respects_time_slices():
         assert spec.outcome not in rec.evidence
         # slice-1 non-outcome observations are legitimate evidence at t=1
         assert any(name.endswith("@1") for name in rec.evidence) or rec.evidence == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_score_cohort_matches_a_per_record_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    net = with_structural_zeros(random_network(rng, min_nodes=3, max_nodes=7), rng)
+    outcome = net.names[-1]
+    codes = _random_rows(rng, net, net.names, int(rng.integers(1, 40)))
+    cohort = Cohort(
+        columns=net.names,
+        rows=[tuple(None if s < 0 else net.var(c).states[s] for c, s in zip(net.names, row))
+              for row in codes.tolist()],
+        ids=rng.permutation(len(codes)) + 100,
+    )
+    result = score_cohort(net, cohort, t=0, outcome=outcome, threshold=0.4)
+
+    pos = net.card(outcome) - 1
+    want, missing, impossible = [], [], []
+    for rid, row in zip(cohort.ids.tolist(), codes.tolist()):
+        ev = {c: s for c, s in zip(net.names, row) if s >= 0 and c != outcome}
+        if row[-1] < 0:
+            missing.append(rid)
+            continue
+        try:
+            score = posterior(net, outcome, ev)[pos]
+        except ZeroProbabilityEvidence:
+            impossible.append(rid)
+            continue
+        want.append((rid, ev, row[-1] == pos, score, abs(score - 0.4)))
+    got = [(r.record_id, r.evidence, r.label, r.score, r.distance) for r in result.records]
+    assert got == want
+    assert result.missing_outcome == tuple(missing)
+    assert result.zero_probability == tuple(impossible)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +541,52 @@ def test_estimate_effects_failure_conservation():
     causal = estimate_effects(net, records, "x", "y", "causal", t=1)
     for cat in causal.categories:
         assert cat.failures == 0 and cat.n == 3
+
+
+def _reference_effects(net, records, variable, outcome, mode):
+    """The per-record loop: one scalar query per (record, category)."""
+    pos = net.card(outcome) - 1
+    excluded = set(net.outcomes.values()) | {outcome, variable}
+    rank = slice_rank(variable)
+    values = [[] for _ in range(net.card(variable))]
+    for rec in sorted(records, key=lambda r: r.record_id):
+        ev = {n: s for n, s in rec.evidence.items()
+              if n not in excluded and slice_rank(n) <= rank}
+        for x, out in enumerate(values):
+            try:
+                if mode == "causal":
+                    out.append(do_posterior(net, outcome, (variable, x), ev)[pos])
+                else:
+                    out.append(posterior(net, outcome, {**ev, variable: x})[pos])
+            except ZeroProbabilityEvidence:
+                out.append(None)
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_estimate_effects_matches_a_per_record_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    net = with_structural_zeros(random_network(rng, min_nodes=3, max_nodes=7), rng)
+    variable, outcome = (net.names[int(i)] for i in rng.choice(len(net.names), 2, replace=False))
+    codes = _random_rows(rng, net, net.names, int(rng.integers(1, 30)))
+    records = [
+        ScoredRecord(record_id=int(rid), evidence={c: s for c, s in zip(net.names, row) if s >= 0},
+                     label=False, score=0.5)
+        for rid, row in zip(rng.permutation(len(codes)), codes.tolist())
+    ]
+    modes = ["associational"] + (["causal"] if has_directed_path(net, variable, outcome) else [])
+    for mode in modes:
+        table = estimate_effects(net, records, variable, outcome, mode, t=1)
+        want = _reference_effects(net, records, variable, outcome, mode)
+        for cat, vals in zip(table.categories, want):
+            arr = np.array([v for v in vals if v is not None], dtype=np.float64)
+            assert cat.n == arr.size and cat.failures == vals.count(None)
+            assert cat.values.tolist() == arr.tolist()
+            if arr.size:
+                assert (cat.mean, cat.std) == (float(arr.mean()), float(arr.std()))
+            else:
+                assert np.isnan(cat.mean) and np.isnan(cat.std)
 
 
 def test_estimate_effects_rejects_bad_queries():
