@@ -21,6 +21,10 @@ bit-identical to the same row run alone. A scalar call (no array values)
 raises ZeroProbabilityEvidence on impossible evidence; a batched call never
 raises for that and marks the impossible rows instead (nan probabilities,
 log P = -inf), leaving the other rows untouched.
+
+EM and :func:`row_log_likelihoods` pass a code matrix instead, -1 marking a
+missing cell: each observed cell is an evidence indicator (Darwiche 2003),
+so rows with different observed sets share one elimination.
 """
 
 from __future__ import annotations
@@ -154,16 +158,16 @@ def _row_sums(table: np.ndarray) -> np.ndarray:
     return table.reshape(len(table), -1).sum(axis=1)
 
 
-# A zero row total marks a dead row, which _eliminate_all overwrites at the
-# end; the two helpers below give it a harmless log and divisor meanwhile.
-
-def _log(x: np.ndarray) -> np.ndarray:
-    # math.log, not np.log: numpy's SIMD log can differ in the last bit
-    return np.array([math.log(v) if v > 0.0 else 0.0 for v in x.tolist()])
+def _fold(scale: np.ndarray, expo: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scale * 2**expo * x as a mantissa in [0.5, 1) (or 0) and an exponent."""
+    m, e = np.frexp(x)
+    scale, e2 = np.frexp(scale * m)
+    return scale, expo + e + e2
 
 
 def _per_row(total: np.ndarray, ndim: int) -> np.ndarray:
-    """Row totals shaped to divide a (rows, ...) table of ndim axes."""
+    """Row totals shaped to divide a (rows, ...) table of ndim axes; a dead
+    row's zero total, overwritten at the end, divides by 1 meanwhile."""
     return np.where(total > 0.0, total, 1.0).reshape((len(total),) + (1,) * (ndim - 1))
 
 
@@ -191,34 +195,40 @@ def _min_degree_order(scopes: list[tuple[int, ...]], eliminate: set[int]) -> lis
 def _eliminate_all(
     net: DiscreteNetwork,
     keep: set[int],
-    evidence: Mapping[str, int | np.ndarray],
+    evidence: Mapping[str, int | np.ndarray] | np.ndarray,
     elimination_order: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Batched VE; returns (P(kept | evidence), log P(evidence), kept vars).
 
-    Evidence values are state indices or 1-D int arrays of one length B
-    (B = 1 when all are scalars). The table has shape (B, kept...), kept
-    variables in index order; log P has shape (B,). The elimination order
-    depends only on which variables are observed, so it is computed once.
-    Each step renormalizes every row of the fresh factor by its own sum and
-    accumulates the log, so long chains cannot underflow. An impossible row
-    gets an all-zero table and -inf; the other rows are unaffected.
+    Evidence maps non-kept names to state indices or 1-D int arrays of one
+    length B (B = 1 when all are scalars), or is a (B, variables) code matrix
+    whose columns with an observed cell become indicator factors (one-hot,
+    ones where -1; a kept observed axis comes back one-hot). The table has
+    shape (B, kept...), kept variables in index order; log P has shape (B,).
+    The order depends only on the mapped names, so it is computed once. Each
+    step renormalizes every row by its own sum, kept as mantissa and exponent
+    so long chains cannot underflow. A row's bits depend on that row alone
+    (ones multiply exactly); an impossible row gets zeros and -inf.
     """
     cards = [v.card for v in net.variables]
     kept = tuple(sorted(keep))
-    ev = {n: np.atleast_1d(np.asarray(s, dtype=np.intp)) for n, s in evidence.items()}
-    batch = max((len(s) for s in ev.values()), default=1)
-    factors = [_cpt_factor(net, net.cpts[v.name], ev) for v in net.variables]
+    if isinstance(evidence, np.ndarray):
+        ev, batch, codes = {}, len(evidence), evidence.T[:, :, None]
+        indicators = [_Factor((v,), ((codes[v] == np.arange(c)) | (codes[v] < 0)).astype(np.float64))
+                      for v, c in enumerate(cards) if (codes[v] >= 0).any()]
+    else:
+        ev = {n: np.atleast_1d(np.asarray(s, dtype=np.intp)) for n, s in evidence.items()}
+        batch = max((len(s) for s in ev.values()), default=1)
+        indicators = []
+    factors = [_cpt_factor(net, net.cpts[v.name], ev) for v in net.variables] + indicators
 
-    dead = np.zeros(batch, dtype=bool)
-    log_scale = np.zeros(1)
-    scalar = np.ones(1)
+    scale, expo = np.ones(1), np.zeros(1, dtype=np.int64)
     live: list[_Factor] = []
     for f in factors:
         if f.vars:
             live.append(f)
         else:
-            scalar = scalar * f.table
+            scale, expo = _fold(scale, expo, f.table)
 
     evid_idx = {net.index(n) for n in ev}
     to_eliminate = set(range(len(cards))) - keep - evid_idx
@@ -239,13 +249,9 @@ def _eliminate_all(
             prod = _multiply(prod, g, cards)
         summed = _sum_out(prod, v)
         total = _row_sums(summed.table)
-        dead |= total <= 0.0
+        scale, expo = _fold(scale, expo, total)
         if summed.vars:
-            summed = _Factor(summed.vars, summed.table / _per_row(total, summed.table.ndim))
-            log_scale = log_scale + _log(total)
-            live.append(summed)
-        else:
-            scalar = scalar * total
+            live.append(_Factor(summed.vars, summed.table / _per_row(total, summed.table.ndim)))
 
     table = np.ones(1)
     if kept:
@@ -256,14 +262,15 @@ def _eliminate_all(
             table = _multiply(table, f, cards)
         table = table.table
     total = _row_sums(table)
-    dead |= (total <= 0.0) | (scalar == 0.0)
-    # the scalar goes into the log, never into the table: normalized
+    scale, expo = _fold(scale, expo, total)
+    # the scale goes into the log, never into the table: normalized
     # queries must be bit-identical under evidence that only rescales
     probs = np.array(np.broadcast_to(table / _per_row(total, table.ndim),
                                      (batch, *table.shape[1:])))
-    log_p = np.array(np.broadcast_to(log_scale + _log(scalar) + _log(total), (batch,)))
-    probs[dead] = 0.0
-    log_p[dead] = -math.inf
+    # math.log, not np.log: numpy's SIMD log can differ in the last bit
+    logs = np.array([math.log(s) if s > 0.0 else -math.inf for s in scale.tolist()])
+    log_p = np.array(np.broadcast_to(logs + expo * math.log(2.0), (batch,)))
+    probs[log_p == -math.inf] = 0.0
     return probs, log_p, kept
 
 
@@ -356,21 +363,28 @@ def log_evidence(net: DiscreteNetwork, evidence: Evidence) -> float | np.ndarray
     return log_p if _batched(ev) else float(log_p[0])
 
 
+def _code_matrix(net: DiscreteNetwork, rows: Sequence[Mapping[str, int]]) -> np.ndarray:
+    """Rows as a code matrix; UnknownVariable/UnknownState flag bad cells."""
+    names = net.names
+    codes = np.array([[row.get(n, -1) for n in names] for row in rows], dtype=np.intp)
+    codes = codes.reshape(len(rows), len(names))
+    if ((codes >= 0) & (codes < [v.card for v in net.variables])).sum() != sum(map(len, rows)):
+        for row in rows:
+            check_evidence(net, row)  # names the bad cell
+    return codes
+
+
 def row_log_likelihoods(
     net: DiscreteNetwork, rows: Sequence[Mapping[str, int]]
 ) -> np.ndarray:
     """Per-row log P(observed part); -inf entries flag impossible rows.
 
-    Rows with no observed values contribute exactly 0. Rows are grouped by
-    their observed set, and each group is one batched elimination.
+    One elimination over all rows. A row with nothing observed contributes
+    exactly 0, although the joint sums to 1 only within rounding.
     """
-    out = np.zeros(len(rows))
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(tuple(sorted(row)), []).append(i)
-    for names, idx in groups.items():
-        if names:
-            out[idx] = log_evidence(net, {n: np.array([rows[i][n] for i in idx]) for n in names})
+    codes = _code_matrix(net, rows)
+    out = _eliminate_all(net, set(), codes)[1]
+    out[(codes < 0).all(axis=1)] = 0.0
     return out
 
 

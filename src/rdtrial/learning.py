@@ -1,8 +1,9 @@
 """Parameter learning and cohort partitioning.
 
 ``mle_fit`` does closed-form maximum likelihood with Laplace smoothing;
-``em_fit`` handles missing values with exact-inference expected counts;
-each pattern's log-likelihood is the normalizer of the same inference runs.
+``em_fit`` handles missing values with exact-inference expected counts, one
+elimination per family over all observation patterns at once; each pattern's
+log-likelihood is the normalizer of the same runs.
 With complete data the two agree bit for bit because em_fit takes an
 integer-count shortcut and the M-step is the same counts-to-CPT code path.
 """
@@ -20,6 +21,7 @@ from .errors import (
     IncompleteAssignment,
     InsufficientPositives,
     NonFiniteLikelihood,
+    UnknownState,
 )
 from .model import Cpt, DiscreteNetwork
 from . import inference
@@ -58,17 +60,26 @@ def _counts_to_cpt(child: str, parents: tuple[str, ...], counts: np.ndarray, alp
     return Cpt(child=child, parents=parents, rows=counts / totals)
 
 
+def _check_columns(structure: DiscreteNetwork, cols: Columns) -> None:
+    """Every variable needs a column of codes in [-1, card)."""
+    for v in structure.variables:
+        if v.name not in cols:
+            raise IncompleteAssignment(f"column for variable {v.name!r} is missing")
+        col = cols[v.name]
+        if np.size(col) and not -1 <= np.min(col) <= np.max(col) < v.card:
+            raise UnknownState(f"column {v.name!r} holds codes outside -1..{v.card - 1}")
+
+
 def mle_fit(structure: DiscreteNetwork, cols: Columns, alpha: float = 1.0) -> DiscreteNetwork:
     """Closed-form (smoothed) maximum-likelihood fit on complete rows.
 
     ``cols`` maps every network variable to an int array of state indices;
-    missing values (-1) are not allowed here, use em_fit for those.
+    missing values (-1) raise IncompleteAssignment, use em_fit for those.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _check_columns(structure, cols)
     for name in structure.names:
-        if name not in cols:
-            raise IncompleteAssignment(f"column for variable {name!r} is missing")
         if np.any(cols[name] < 0):
             raise IncompleteAssignment(
                 f"column {name!r} contains missing values; mle_fit needs complete rows"
@@ -110,9 +121,7 @@ def _collapse_patterns(net: DiscreteNetwork, cols: Columns) -> tuple[list[dict[s
     names = list(net.names)
     mat = np.stack([cols[n] for n in names], axis=1)
     uniq, counts = np.unique(mat, axis=0, return_counts=True)
-    patterns = []
-    for row in uniq:
-        patterns.append({n: int(s) for n, s in zip(names, row) if s >= 0})
+    patterns = [{n: int(s) for n, s in zip(names, row) if s >= 0} for row in uniq]
     return patterns, counts.astype(np.float64)
 
 
@@ -121,42 +130,22 @@ def _expected_counts(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """E-step: weighted (parents..., child) counts per variable, log P per pattern.
 
-    Patterns are grouped by their observed set (mask). Per mask, VE runs once
-    per variable whose family has a hidden member, batched over the mask's
-    patterns, and the last run's normalizer is each pattern's log P; a mask
-    with nothing hidden takes log P from log_evidence. Every count cell adds
-    its contributions in pattern order. A zero-probability pattern raises.
+    One VE per variable over every pattern at once: missing cells are
+    evidence indicators, the whole family is kept (observed members come
+    back one-hot) and the counts are the weighted sum over patterns, added
+    in pattern order. Every run's normalizer is each pattern's log P; the
+    last run's is returned. A zero-probability pattern raises.
     """
-    families = {v.name: (*net.cpts[v.name].parents, v.name) for v in net.variables}
-    masks: dict[tuple[str, ...], list[int]] = {}
-    for i, pat in enumerate(patterns):
-        masks.setdefault(tuple(sorted(pat)), []).append(i)
-    log_p = np.zeros(len(patterns))
-    # per variable: (pattern index, flat count cell, weighted posterior) arrays
-    parts: dict[str, list[tuple[np.ndarray, ...]]] = {n: [] for n in families}
-    for names, rows in masks.items():
-        ev = {n: np.array([patterns[i][n] for i in rows]) for n in names}
-        w = np.asarray(weights, dtype=np.float64)[rows]
-        ll = None
-        for name, family in families.items():
-            hidden = [f for f in family if f not in ev]
-            table = np.ones(len(rows))
-            if hidden:
-                table, ll, kept = inference._eliminate_all(
-                    net, {net.index(h) for h in hidden}, ev
-                )
-                # VE returns axes in global index order; the tensor wants family order
-                table = np.transpose(table, [0, *(1 + kept.index(net.index(h)) for h in hidden)])
-            lead = (len(rows),) + (1,) * len(hidden)
-            value = w.reshape(lead) * table
-            grid = dict(zip(hidden, np.ix_(*(np.arange(net.card(h)) for h in hidden))))
-            index = [ev[f].reshape(lead) if f in ev else grid[f][None] for f in family]
-            owner, *index = np.broadcast_arrays(np.reshape(rows, lead), *index, value)[:-1]
-            cell = np.ravel_multi_index(index, [net.card(f) for f in family])
-            parts[name].append((owner.ravel(), cell.ravel(), value.ravel()))
-        if ll is None:
-            ll = inference.log_evidence(net, ev)
-        log_p[rows] = ll
+    codes = inference._code_matrix(net, patterns)
+    w = np.asarray(weights, dtype=np.float64)
+    counts = {}
+    for v in net.variables:
+        family = [net.index(f) for f in (*net.cpts[v.name].parents, v.name)]
+        table, log_p, kept = inference._eliminate_all(net, set(family), codes)
+        # VE returns axes in global index order; the tensor wants family order
+        table = np.transpose(table, [0, *(1 + kept.index(f) for f in family)])
+        # cumsum adds strictly in pattern order; sum(axis=0) may pair terms up
+        counts[v.name] = np.cumsum(w.reshape(-1, *[1] * len(family)) * table, axis=0)[-1]
 
     impossible = np.flatnonzero(log_p == -np.inf)
     if impossible.size:
@@ -164,13 +153,6 @@ def _expected_counts(
             f"observation pattern {patterns[impossible[0]]!r} has probability zero "
             f"under the current parameters (structural zero)"
         )
-    counts = {}
-    for name, family in families.items():
-        owner, cell, value = (np.concatenate(a) for a in zip(*parts[name]))
-        order = np.argsort(owner, kind="stable")
-        flat = np.zeros(int(np.prod([net.card(f) for f in family])))
-        np.add.at(flat, cell[order], value[order])
-        counts[name] = flat.reshape([net.card(f) for f in family])
     return counts, log_p
 
 
@@ -185,9 +167,10 @@ def em_fit(
 ) -> tuple[DiscreteNetwork, FitReport]:
     """Expectation-maximization on rows with missing values.
 
-    E-step computes expected family counts by exact inference per distinct
-    observation pattern; M-step is the same counts-to-CPT normalization as
-    mle_fit. Convergence is max absolute parameter change below ``tol``.
+    E-step computes expected family counts by exact inference, one
+    elimination per family over all distinct observation patterns; M-step
+    is mle_fit's counts-to-CPT normalization. Convergence is max absolute
+    parameter change below ``tol``.
     The log-likelihood trace (one entry per parameter vector visited, first
     entry = initialization; each from that iteration's E-step, the last from
     row_log_likelihoods) is non-decreasing when alpha = 0; with alpha > 0
@@ -195,7 +178,8 @@ def em_fit(
     hair of raw likelihood for prior mass, so the default stays at plain EM.
 
     Requires every variable to be observed in at least one row, or
-    alpha > 0, so no parent configuration is left completely unconstrained.
+    alpha > 0, so no parent configuration is left completely unconstrained,
+    and a column per variable of codes in [-1, card), -1 meaning missing.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
@@ -204,6 +188,7 @@ def em_fit(
     n_rows = len(next(iter(cols.values()))) if cols else 0
     if n_rows == 0:
         raise ValueError("em_fit needs at least one row")
+    _check_columns(structure, cols)
     if alpha == 0.0:
         never = [n for n in structure.names if not np.any(cols[n] >= 0)]
         if never:

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdtrial import inference
 from rdtrial.errors import (
     IncompleteAssignment,
     TooLargeForEnumeration,
+    UnknownState,
+    UnknownVariable,
     ZeroProbabilityEvidence,
 )
 from rdtrial.inference import (
@@ -136,6 +139,23 @@ def test_log_evidence_matches_enumeration():
             idx[net.index(name)] = state
         brute = float(joint[tuple(idx)].sum())
         assert log_evidence(net, evidence) == pytest.approx(math.log(brute), abs=1e-9)
+
+
+def test_log_evidence_does_not_underflow_on_a_long_chain():
+    # P(row) = 0.5 * 0.01**299, far below the smallest double: a product of
+    # the CPT entries used to underflow to 0 and read as impossible
+    n = 300
+    variables = [VariableDef(name=f"v{i}", states=("0", "1")) for i in range(n)]
+    cpts = {"v0": Cpt("v0", (), np.array([[0.5, 0.5]]))}
+    for i in range(1, n):
+        cpts[f"v{i}"] = Cpt(f"v{i}", (f"v{i - 1}",), np.array([[0.99, 0.01], [0.01, 0.99]]))
+    net = DiscreteNetwork(variables, [(f"v{i - 1}", f"v{i}") for i in range(1, n)], cpts)
+    row = {f"v{i}": i % 2 for i in range(n)}
+    want = math.log(0.5) + (n - 1) * math.log(0.01)
+    assert log_evidence(net, row) == pytest.approx(want, rel=1e-12)
+    assert row_log_likelihoods(net, [row])[0] == pytest.approx(want, rel=1e-12)
+    assert posterior(net, "v0", {k: s for k, s in row.items() if k != "v0"})[1] == pytest.approx(
+        0.99, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +284,93 @@ def test_batched_evidence_validation():
 
 
 # ---------------------------------------------------------------------------
+# code matrices: missing cells as evidence indicators
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_code_matrix_rows_equal_hard_evidence_and_the_dense_joint(seed):
+    rng = np.random.default_rng(seed)
+    net = with_structural_zeros(random_network(rng, min_nodes=3, max_nodes=7), rng)
+    n = len(net.names)
+    cards = np.array([net.card(name) for name in net.names])
+    rows = int(rng.integers(1, 13))
+    codes = (rng.random((rows, n)) * cards).astype(np.intp)
+    codes[rng.random((rows, n)) < 0.4] = -1
+    keep = {int(v) for v in rng.choice(n, size=int(rng.integers(0, 4)), replace=False)}
+    table, log_p, kept = inference._eliminate_all(net, keep, codes)
+    assert kept == tuple(sorted(keep)) and table.shape == (rows, *cards[list(kept)])
+
+    joint = dense_joint(net)
+    for i, row in enumerate(codes):
+        # oracle: the joint times one-hot indicators, non-kept axes summed out
+        sub = joint
+        for v in np.flatnonzero(row >= 0):
+            shape = [1] * n
+            shape[v] = -1
+            sub = sub * (np.arange(cards[v]) == row[v]).reshape(shape)
+        marg = sub.sum(axis=tuple(v for v in range(n) if v not in keep))
+        total = float(marg.sum())
+        if total == 0.0:
+            assert log_p[i] == -math.inf and not table[i].any()
+            continue
+        np.testing.assert_allclose(table[i], marg / total, rtol=0, atol=1e-12)
+        assert log_p[i] == pytest.approx(math.log(total), rel=0, abs=1e-12)
+
+        # hard evidence on the observed subset: kept observed axes are fixed
+        seen = {net.names[v]: np.array([row[v]]) for v in np.flatnonzero(row >= 0)}
+        hidden = {v for v in keep if row[v] < 0}
+        hard, hard_log_p, _ = inference._eliminate_all(net, hidden, seen)
+        at = tuple(int(row[v]) if row[v] >= 0 else slice(None) for v in kept)
+        np.testing.assert_allclose(table[i][at], hard[0], rtol=0, atol=1e-12)
+        assert log_p[i] == pytest.approx(hard_log_p[0], rel=0, abs=1e-12)
+        # a kept observed axis comes back one-hot: off its state, exact zeros
+        for axis, v in enumerate(kept):
+            if row[v] >= 0:
+                off = np.delete(table[i], row[v], axis=axis)
+                assert not off.any()
+                if len(kept) == 1:
+                    assert table[i][row[v]] == 1.0
+
+    # a row's bits do not depend on the rest of the batch
+    for i in range(rows):
+        one, one_log_p, _ = inference._eliminate_all(net, keep, codes[i:i + 1])
+        assert np.array_equal(one[0], table[i]) and one_log_p[0] == log_p[i]
+    perm = rng.permutation(rows)
+    shuffled, shuffled_log_p, _ = inference._eliminate_all(net, keep, codes[perm])
+    assert np.array_equal(shuffled, table[perm]) and np.array_equal(shuffled_log_p, log_p[perm])
+    cut = rows // 2 or 1
+    parts = [inference._eliminate_all(net, keep, codes[part])
+             for part in (slice(None, cut), slice(cut, None)) if len(codes[part])]
+    assert np.array_equal(np.concatenate([p[0] for p in parts]), table)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), log_p)
+
+
+def test_code_matrix_impossible_rows_do_not_poison_the_others():
+    # b is a deterministic copy of a: a row observing a != b is impossible
+    net = DiscreteNetwork(
+        variables=[VariableDef(name=n, states=("0", "1")) for n in "abc"],
+        arcs=[("a", "b"), ("b", "c")],
+        cpts={
+            "a": Cpt("a", (), np.array([[0.5, 0.5]])),
+            "b": Cpt("b", ("a",), np.array([[1.0, 0.0], [0.0, 1.0]])),
+            "c": Cpt("c", ("b",), np.array([[0.8, 0.2], [0.3, 0.7]])),
+        },
+    )
+    codes = np.array([[0, 1, -1], [-1, 1, 0], [1, 0, 0], [-1, -1, -1]])
+    table, log_p, kept = inference._eliminate_all(net, {0, 2}, codes)
+    assert kept == (0, 2)
+    assert not table[[0, 2]].any() and (log_p[[0, 2]] == -math.inf).all()
+    # b = 1 forces a = 1; the observed c = 0 comes back one-hot
+    assert np.array_equal(table[1], [[0.0, 0.0], [1.0, 0.0]])
+    assert log_p[1] == pytest.approx(math.log(0.5 * 0.3), rel=0, abs=1e-15)
+    np.testing.assert_allclose(table[3], [[0.4, 0.1], [0.15, 0.35]], rtol=0, atol=1e-15)
+    out = row_log_likelihoods(net, [{"a": 0, "b": 1}, {"b": 1, "c": 0}, {}])
+    assert out[0] == -math.inf and out[2] == 0.0
+    assert out[1] == pytest.approx(math.log(0.5 * 0.3), rel=0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # do-operator
 # ---------------------------------------------------------------------------
 
@@ -334,6 +441,29 @@ def test_row_log_likelihoods():
     assert out[1] == 0.0
     assert out[2] == pytest.approx(math.log(0.3375), abs=1e-12)
     assert marginal_log_likelihood(net, rows) == pytest.approx(out.sum(), abs=1e-12)
+    assert row_log_likelihoods(net, []).shape == (0,)
+    with pytest.raises(UnknownVariable):
+        row_log_likelihoods(net, [{"a": 0}, {"zz": 0}])
+    for bad in (2, -1):
+        with pytest.raises(UnknownState):
+            row_log_likelihoods(net, [{"a": 0}, {"b": bad}])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_row_log_likelihoods_equal_per_row_log_evidence(seed):
+    rng = np.random.default_rng(seed)
+    net = with_structural_zeros(random_network(rng, max_nodes=7), rng)
+    rows = [random_evidence(rng, net) for _ in range(int(rng.integers(1, 10)))] + [{}]
+    out = row_log_likelihoods(net, rows)
+    for row, got in zip(rows, out):
+        want = log_evidence(net, row)
+        if want == -math.inf:
+            assert got == -math.inf
+        else:
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+    # nothing observed: exactly 0, although the joint sums to 1 only within rounding
+    assert out[-1] == 0.0
 
 
 def test_dense_joint_skip_cpt_sums_to_card():

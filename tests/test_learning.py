@@ -15,6 +15,7 @@ from rdtrial.errors import (
     IncompleteAssignment,
     InsufficientPositives,
     NonFiniteLikelihood,
+    UnknownState,
 )
 from rdtrial import inference
 from rdtrial.inference import dense_joint, log_evidence, row_log_likelihoods
@@ -161,23 +162,18 @@ def test_expected_counts_match_dense_joint_on_random_networks(seed, data):
 
 
 def _reference_expected_counts(net, patterns, weights):
-    """The per-pattern E-step: one scalar elimination per (pattern, family
-    with a hidden member), added into the count tensors in pattern order."""
+    """The per-pattern E-step: one one-row code-matrix elimination per
+    (pattern, family), added into the count tensors in pattern order."""
     families = {v.name: (*net.cpts[v.name].parents, v.name) for v in net.variables}
     counts = {n: np.zeros([net.card(f) for f in fam]) for n, fam in families.items()}
+    codes = np.array([[pat.get(n, -1) for n in net.names] for pat in patterns])
     log_p = np.zeros(len(patterns))
-    for i, (pat, w) in enumerate(zip(patterns, weights)):
-        ll = None
+    for i, w in enumerate(weights):
         for name, family in families.items():
-            hidden = [f for f in family if f not in pat]
-            table = 1.0
-            if hidden:
-                tables, lls, kept = inference._eliminate_all(
-                    net, {net.index(h) for h in hidden}, pat)
-                table = np.transpose(tables[0], [kept.index(net.index(h)) for h in hidden])
-                ll = lls[0]
-            counts[name][tuple(slice(None) if f in hidden else pat[f] for f in family)] += w * table
-        log_p[i] = log_evidence(net, pat) if ll is None else ll
+            index = [net.index(f) for f in family]
+            tables, lls, kept = inference._eliminate_all(net, set(index), codes[i:i + 1])
+            counts[name] += w * np.transpose(tables[0], [kept.index(f) for f in index])
+            log_p[i] = lls[0]
     return counts, log_p
 
 
@@ -196,6 +192,21 @@ def test_expected_counts_equal_the_per_pattern_loop_bitwise(seed, data):
         pat = {n: s for n, s, on in zip(net.names, row, mask) if on and s >= 0}
         if pat not in patterns:
             patterns.append(pat)
+    weights = np.arange(1.0, len(patterns) + 1) / 3.0
+    counts, log_p = _expected_counts(net, patterns, weights)
+    want_counts, want_log_p = _reference_expected_counts(net, patterns, weights)
+    assert np.array_equal(log_p, want_log_p)
+    for name in net.names:
+        assert np.array_equal(counts[name], want_counts[name])
+
+
+def test_expected_counts_add_in_pattern_order_when_a_family_is_never_observed():
+    # no pattern observes the root v5, so its family table is one row
+    # broadcast over the patterns, with the pattern axis in memory order
+    # first: sum(axis=0) would add those rows pairwise, not in pattern order
+    net = random_network(np.random.default_rng(6191), max_nodes=7)
+    cells = [(0, 0, 0), (0, 0, 1), (0, 0, -1), (0, 0, 2), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
+    patterns = [{n: s for n, s in zip(net.names, row) if s >= 0} for row in cells]
     weights = np.arange(1.0, len(patterns) + 1) / 3.0
     counts, log_p = _expected_counts(net, patterns, weights)
     want_counts, want_log_p = _reference_expected_counts(net, patterns, weights)
@@ -316,6 +327,19 @@ def test_em_rejects_bad_arguments():
         em_fit(net, {}, alpha=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         em_fit(net, {"x": np.array([0, -1]), "y": np.array([0, 1])}, alpha=1.0, max_iter=0)
+
+
+def test_fits_reject_bad_columns():
+    # -1 is the only missing code; em_fit used to read -2 as missing and to
+    # raise KeyError or IndexError on the other probes
+    net = _xy_structure()
+    with pytest.raises(IncompleteAssignment):
+        em_fit(net, {"x": np.array([0, -1])}, alpha=1.0)
+    for bad in ({"x": np.array([0, -2])}, {"x": np.array([0, 2])}, {"y": np.array([1, 5])}):
+        with pytest.raises(UnknownState):
+            em_fit(net, {"x": np.array([0, -1]), "y": np.array([0, 1]), **bad}, alpha=1.0)
+        with pytest.raises(UnknownState):
+            mle_fit(net, {"x": np.array([0, 1]), "y": np.array([0, 1]), **bad})
 
 
 # ---------------------------------------------------------------------------
