@@ -76,6 +76,7 @@ from .rddo import (
     RunConfig,
     ScoredRecord,
     WindowReport,
+    WindowScan,
     estimate_effects,
     load_run_config,
     parse_run_config,
@@ -126,7 +127,7 @@ __all__ = [
     # cohort
     "Cohort", "read_cohort_csv", "write_cohort_csv", "encode_columns",
     # pipeline
-    "ScoredRecord", "WindowReport", "CategoryEffect", "EffectTable",
+    "ScoredRecord", "WindowReport", "WindowScan", "CategoryEffect", "EffectTable",
     "RunConfig", "RdDoReport", "score_cohort", "scan_windows",
     "select_window", "estimate_effects", "rank_effects", "run_rd_do",
     "parse_run_config", "load_run_config",

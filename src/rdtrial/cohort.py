@@ -122,3 +122,28 @@ def encode_columns(
             arr[r] = code
         out[name] = arr
     return out
+
+
+_KEY_LIMIT = 1 << 62
+
+
+def unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a code matrix (entries >= -1) and each row's index
+    among them, as ``np.unique(codes, axis=0, return_inverse=True)`` gives.
+
+    Each row folds into one int64 key, a mixed-radix number with digits
+    code + 1 and the first column most significant, so the keys sort as the
+    rows do and only a 1-D unique runs. Before a fold could pass 2**62 the
+    keys are replaced by their dense ranks, which keep that order.
+    """
+    digits = np.ascontiguousarray(codes.T, dtype=np.int64) + 1  # one row per column
+    keys = np.zeros(len(codes), dtype=np.int64)
+    bound = 1  # every key lies in [0, bound)
+    for digit, radix in zip(digits, (digits.max(axis=1, initial=0) + 1).tolist()):
+        if bound * radix > _KEY_LIMIT:
+            _, keys = np.unique(keys, return_inverse=True)
+            bound = int(keys.max()) + 1
+        keys = keys * radix + digit
+        bound *= radix
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return codes[first], inverse

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import Cohort
+from .cohort import Cohort, unique_rows
 from .errors import (
     EmptyClass,
     EmptyParentConfiguration,
@@ -116,27 +116,34 @@ def _initial_network(structure: DiscreteNetwork, init: str, seed: int | None) ->
     return DiscreteNetwork(structure.variables, structure.arcs, cpts, structure.outcomes)
 
 
-def _collapse_patterns(net: DiscreteNetwork, cols: Columns) -> tuple[list[dict[str, int]], np.ndarray]:
-    """Distinct observation patterns with multiplicities."""
+def _collapse_patterns(
+    net: DiscreteNetwork, cols: Columns
+) -> tuple[list[dict[str, int]], np.ndarray, np.ndarray]:
+    """Distinct observation patterns, their multiplicities and code matrix.
+
+    Patterns come in the lexicographic order of their code rows (-1 =
+    missing), the order np.unique(axis=0) gives.
+    """
     names = list(net.names)
-    mat = np.stack([cols[n] for n in names], axis=1)
-    uniq, counts = np.unique(mat, axis=0, return_counts=True)
-    patterns = [{n: int(s) for n, s in zip(names, row) if s >= 0} for row in uniq]
-    return patterns, counts.astype(np.float64)
+    codes, pattern_of = unique_rows(np.stack([cols[n] for n in names], axis=1))
+    patterns = [{n: s for n, s in zip(names, row) if s >= 0} for row in codes.tolist()]
+    counts = np.bincount(pattern_of, minlength=len(codes))
+    return patterns, counts.astype(np.float64), codes
 
 
 def _expected_counts(
-    net: DiscreteNetwork, patterns: list[dict[str, int]], weights: np.ndarray
+    net: DiscreteNetwork, codes: np.ndarray, weights: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """E-step: weighted (parents..., child) counts per variable, log P per pattern.
 
-    One VE per variable over every pattern at once: missing cells are
-    evidence indicators, the whole family is kept (observed members come
-    back one-hot) and the counts are the weighted sum over patterns, added
-    in pattern order. Every run's normalizer is each pattern's log P; the
-    last run's is returned. A zero-probability pattern raises.
+    codes holds one pattern per row, a column per variable, -1 where the
+    cell is missing. One VE per variable over every pattern at once: missing
+    cells are evidence indicators, the whole family is kept (observed
+    members come back one-hot) and the counts are the weighted sum over
+    patterns, added in pattern order. Every run's normalizer is each
+    pattern's log P; the last run's is returned. A zero-probability pattern
+    raises.
     """
-    codes = inference._code_matrix(net, patterns)
     w = np.asarray(weights, dtype=np.float64)
     counts = {}
     for v in net.variables:
@@ -149,8 +156,9 @@ def _expected_counts(
 
     impossible = np.flatnonzero(log_p == -np.inf)
     if impossible.size:
+        pattern = {n: s for n, s in zip(net.names, codes[impossible[0]].tolist()) if s >= 0}
         raise NonFiniteLikelihood(
-            f"observation pattern {patterns[impossible[0]]!r} has probability zero "
+            f"observation pattern {pattern!r} has probability zero "
             f"under the current parameters (structural zero)"
         )
     return counts, log_p
@@ -196,12 +204,13 @@ def em_fit(
                 f"variables never observed and alpha = 0: {never}"
             )
 
-    patterns, weights = _collapse_patterns(structure, cols)
-    complete = all(len(p) == len(structure.names) for p in patterns)
-    if complete:
-        # identical code path to mle_fit, bit-for-bit
+    patterns, weights, codes = _collapse_patterns(structure, cols)
+    if np.all(codes >= 0):
+        # identical code path to mle_fit, bit-for-bit; every pattern is
+        # hard evidence on one mask, so one batched query scores them all
         fitted = mle_fit(structure, cols, alpha=alpha)
-        ll = float(np.dot(weights, inference.row_log_likelihoods(fitted, patterns)))
+        ev = {n: codes[:, j] for j, n in enumerate(structure.names)}
+        ll = float(np.dot(weights, inference.log_evidence(fitted, ev)))
         return fitted, FitReport(
             iterations=1, log_likelihood=(ll,), converged=True, final_delta=0.0
         )
@@ -212,7 +221,7 @@ def em_fit(
     delta = float("inf")
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        counts, per_pattern = _expected_counts(net, patterns, weights)
+        counts, per_pattern = _expected_counts(net, codes, weights)
         trace.append(float(np.dot(weights, per_pattern)))
 
         new_cpts: dict[str, Cpt] = {}

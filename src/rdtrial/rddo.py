@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections import abc
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cohort import Cohort, encode_columns, read_cohort_csv
+from .cohort import Cohort, encode_columns, read_cohort_csv, unique_rows
 from .errors import (
     ConfigError,
     DataError,
@@ -39,7 +41,6 @@ from .stats import (
     bonferroni_alpha,
     chi2_homogeneity,
     ks_two_sample,
-    sample_power,
     youden_threshold,
 )
 
@@ -53,7 +54,7 @@ class ScoredRecord:
     """One test record: its usable observations, outcome label, and score."""
 
     record_id: int
-    evidence: Mapping[str, int]   # node -> state index, missing cells absent
+    evidence: Mapping[str, int]   # node -> state index, missing cells absent; read-only
     label: bool                   # outcome at t equals the positive state
     score: float                  # P(outcome = positive | evidence)
     distance: float | None = None  # |score - threshold| when a threshold is known
@@ -95,14 +96,29 @@ def _patterns_by_mask(codes: np.ndarray, names: Sequence[str]):
 
     Yields (rows, observed names, distinct patterns, pattern of each row):
     the patterns are the distinct code rows over the observed columns, so
-    one batched query per mask answers every row of it.
+    one batched query per mask answers every row of it. Masks and patterns
+    come in the lexicographic order of np.unique(axis=0), rows ascending.
     """
-    masks, mask_of = np.unique(codes >= 0, axis=0, return_inverse=True)
-    for m, mask in enumerate(masks):
-        rows = np.flatnonzero(mask_of.ravel() == m)
+    masks, mask_of = unique_rows(codes >= 0)
+    groups = np.split(np.argsort(mask_of, kind="stable"), np.cumsum(np.bincount(mask_of))[:-1])
+    for mask, rows in zip(masks, groups):
         cols = np.flatnonzero(mask)
-        pats, pat_of = np.unique(codes[np.ix_(rows, cols)], axis=0, return_inverse=True)
-        yield rows, [names[j] for j in cols], pats, pat_of.ravel()
+        pats, pat_of = unique_rows(codes[np.ix_(rows, cols)])
+        yield rows, [names[j] for j in cols], pats, pat_of
+
+
+def _evidence_codes(records: Sequence[ScoredRecord], names: Sequence[str]) -> np.ndarray:
+    """(records, names) code matrix of the records' evidence, -1 where absent.
+
+    Records that share a pattern share one evidence mapping (score_cohort),
+    so each distinct mapping is read once.
+    """
+    keys = np.fromiter((id(r.evidence) for r in records), np.uint64, len(records))
+    _, first, of = np.unique(keys, return_index=True, return_inverse=True)
+    table = np.array(
+        [[records[i].evidence.get(c, -1) for c in names] for i in first.tolist()], dtype=np.int64
+    ).reshape(len(first), len(names))
+    return table[of]
 
 
 def score_cohort(
@@ -122,7 +138,8 @@ def score_cohort(
     ids recorded. Records are grouped by their observed set: one batched
     posterior call per missingness mask scores every distinct evidence
     pattern under it, so cost scales with pattern diversity rather than
-    cohort size.
+    cohort size. Records with the same pattern share one read-only evidence
+    mapping. Records keep cohort order.
     """
     if outcome is None:
         outcome = _declared_outcome(net, t)
@@ -142,33 +159,33 @@ def score_cohort(
     codes = np.array([enc[c] for c in ev_cols], dtype=np.int64).reshape(len(ev_cols), len(cohort)).T
     labeled = np.flatnonzero(out_codes >= 0)
     scores = np.full(len(cohort), np.nan)
+    pattern = np.full(len(cohort), -1)
+    evidence: list[Mapping[str, int]] = []
     for rows, names, pats, pat_of in _patterns_by_mask(codes[labeled], ev_cols):
         post = posterior(net, outcome, {c: pats[:, j] for j, c in enumerate(names)})
         scores[labeled[rows]] = np.broadcast_to(post.probs[..., pos_idx], len(pats))[pat_of]
+        pattern[labeled[rows]] = len(evidence) + pat_of
+        evidence += [MappingProxyType(dict(zip(names, row))) for row in pats.tolist()]
 
-    records: list[ScoredRecord] = []
-    missing: list[int] = []
-    impossible: list[int] = []
-    for r, (rid, row, score) in enumerate(zip(cohort.ids.tolist(), codes.tolist(), scores.tolist())):
-        if out_codes[r] < 0:
-            missing.append(rid)
-        elif math.isnan(score):
-            impossible.append(rid)
-        else:
-            records.append(ScoredRecord(
-                record_id=rid,
-                evidence={c: st for c, st in zip(ev_cols, row) if st >= 0},
-                label=bool(out_codes[r] == pos_idx),
-                score=score,
-                distance=None if threshold is None else abs(score - threshold),
-            ))
+    impossible = np.isnan(scores) & (out_codes >= 0)
+    kept = np.flatnonzero(~np.isnan(scores))
+    distance = [None] * len(kept)
+    if threshold is not None:
+        distance = np.abs(scores[kept] - threshold).tolist()
+    records = tuple(
+        ScoredRecord(rid, evidence[p], label, score, dist)
+        for rid, p, label, score, dist in zip(
+            cohort.ids[kept].tolist(), pattern[kept].tolist(),
+            (out_codes[kept] == pos_idx).tolist(), scores[kept].tolist(), distance,
+        )
+    )
     return ScoringResult(
-        records=tuple(records),
+        records=records,
         outcome=outcome,
         t=t,
         positive_state=positive_state,
-        missing_outcome=tuple(missing),
-        zero_probability=tuple(impossible),
+        missing_outcome=tuple(cohort.ids[out_codes < 0].tolist()),
+        zero_probability=tuple(cohort.ids[impossible].tolist()),
     )
 
 
@@ -190,6 +207,44 @@ class WindowReport:
     fn: int
 
 
+@dataclass(frozen=True, eq=False)
+class WindowScan(abc.Sequence[WindowReport]):
+    """Every tested window of one scan, held as columns, one entry per window.
+
+    Window i holds the first ks[i] of sorted_ids. Indexing (negative
+    indices and slices too) and iteration build the WindowReports.
+    """
+
+    threshold: float
+    ks: np.ndarray
+    sorted_ids: np.ndarray                  # read-only, distance order
+    p_values: Mapping[str, np.ndarray]      # per covariate; nan = test skipped
+    randomized: np.ndarray
+    power: np.ndarray
+    fp: np.ndarray
+    fn: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # raises IndexError when out of range
+        k = int(self.ks[i])
+        return WindowReport(
+            k=k,
+            threshold=self.threshold,
+            member_ids=self.sorted_ids[:k],
+            p_values={c: None if math.isnan(p[i]) else float(p[i])
+                      for c, p in self.p_values.items()},
+            randomized=bool(self.randomized[i]),
+            power=float(self.power[i]),
+            fp=int(self.fp[i]),
+            fn=int(self.fn[i]),
+        )
+
+
 def scan_windows(
     net: DiscreteNetwork,
     records: Sequence[ScoredRecord],
@@ -199,8 +254,8 @@ def scan_windows(
     k_min: int = 200,
     k_step: int = 1,
     k_max: int | None = None,
-) -> list[WindowReport]:
-    """One report per window size k in k_min..k_max (step k_step).
+) -> WindowScan:
+    """Test every window size k in k_min..k_max (step k_step).
 
     Window membership is by ascending |score - threshold| with ties broken
     by ascending record id, so the k-window always contains the (k-1)-window.
@@ -211,13 +266,14 @@ def scan_windows(
     falsely rejects a window with probability at most alpha (family-wise),
     so such a window is accepted with probability near 1 - alpha, not more.
     Power comes from the window's confusion counts at the supplied
-    threshold. Covariate cells missing on a record drop out of that
-    covariate's table only.
+    threshold, as stats.sample_power gives it. Covariate cells missing on a
+    record drop out of that covariate's table only.
 
     All windows are tested at once: in-window counts are cumulative sums
     over the distance order read at every window's end, and each covariate
-    takes one stacked chi2_homogeneity call whose degenerate rows (p = nan)
-    are reported as None.
+    takes one stacked chi2_homogeneity call whose degenerate rows give
+    p = nan. The result is a WindowScan of those columns; its i-th item is
+    the WindowReport of the i-th window, built only when read.
     """
     n = len(records)
     if k_min < 1:
@@ -230,9 +286,9 @@ def scan_windows(
     if k_cap < k_min:
         raise ValueError(f"k_max = {k_max} is below k_min = {k_min}")
 
-    ids = np.array([r.record_id for r in records], dtype=np.int64)
-    scores = np.array([r.score for r in records], dtype=np.float64)
-    labels = np.array([r.label for r in records], dtype=bool)
+    ids = np.fromiter((r.record_id for r in records), np.int64, n)
+    scores = np.fromiter((r.score for r in records), np.float64, n)
+    labels = np.fromiter((r.label for r in records), bool, n)
     dist = np.abs(scores - threshold)
     order = np.lexsort((ids, dist))
 
@@ -242,48 +298,38 @@ def scan_windows(
     lab = labels[order]
     ks = np.arange(k_min, k_cap + 1, k_step)
     ends = ks - 1  # position of each window's last member
-    fps = np.cumsum(pred_pos & ~lab)[ends].tolist()
-    fns = np.cumsum(~pred_pos & lab)[ends].tolist()
+    fp = np.cumsum(pred_pos & ~lab)[ends]
+    fn = np.cumsum(~pred_pos & lab)[ends]
+    wrong = fp + fn
+    # 1 - fp / (fn + fp) as sample_power computes it: the counts are exact
+    power = np.where(wrong == 0, 1.0, 1.0 - fp / np.maximum(wrong, 1))
 
     alpha_adj = bonferroni_alpha(alpha, len(covariates)) if covariates else alpha
-    p_by_cov: dict[str, list[float | None]] = {}
+    p_values: dict[str, np.ndarray] = {}
     rejected = np.zeros(len(ks), dtype=bool)
-    for c in covariates:
-        col = np.array([r.evidence.get(c, -1) for r in records], dtype=np.int64)[order]
+    codes = _evidence_codes(records, covariates)[order]
+    for j, c in enumerate(covariates):
         # one-hot codes; a missing cell (-1) matches no category
-        counts = np.cumsum(col[:, None] == np.arange(net.card(c)), axis=0)
+        counts = np.cumsum(codes[:, j, None] == np.arange(net.card(c)), axis=0)
         win = counts[ends]
-        p = chi2_homogeneity(win, counts[-1] - win).p_value
-        rejected |= p < alpha_adj
-        p_by_cov[c] = [None if math.isnan(v) else v for v in p.tolist()]
+        p_values[c] = chi2_homogeneity(win, counts[-1] - win).p_value
+        rejected |= p_values[c] < alpha_adj
 
-    randomized = (~rejected).tolist()
-    return [
-        WindowReport(
-            k=k,
-            threshold=float(threshold),
-            member_ids=sorted_ids[:k],
-            p_values={c: p[i] for c, p in p_by_cov.items()},
-            randomized=randomized[i],
-            power=sample_power(fps[i], fns[i]),
-            fp=fps[i],
-            fn=fns[i],
-        )
-        for i, k in enumerate(ks.tolist())
-    ]
+    return WindowScan(float(threshold), ks, sorted_ids, p_values, ~rejected, power, fp, fn)
 
 
-def select_window(reports: Sequence[WindowReport]) -> WindowReport | None:
+def select_window(scan: WindowScan) -> WindowReport | None:
     """The randomized window with the highest power; ties favor smaller k.
 
-    None when no window is randomized; the pipeline reports that per time
-    point rather than failing.
+    Reads the scan's randomized and power columns and builds the report of
+    the chosen window only. None when no window is randomized; the pipeline
+    reports that per time point rather than failing.
     """
-    best: WindowReport | None = None
-    for r in reports:
-        if r.randomized and (best is None or r.power > best.power):
-            best = r
-    return best
+    candidates = np.flatnonzero(scan.randomized)
+    if not candidates.size:
+        return None
+    # argmax takes the first maximum, and windows come in ascending k
+    return scan[int(candidates[np.argmax(scan.power[candidates])])]
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +413,7 @@ def estimate_effects(
         name for name in sorted({n for rec in ordered for n in rec.evidence}, key=net.index)
         if name not in excluded and slice_rank(name) <= s
     ]
-    codes = np.array(
-        [[rec.evidence.get(name, -1) for name in names] for rec in ordered], dtype=np.int64
-    ).reshape(len(ordered), len(names))
+    codes = _evidence_codes(ordered, names)
     # per record and category; nan where the query evidence is impossible
     values = np.empty((len(ordered), var.card))
     for rows, observed, pats, pat_of in _patterns_by_mask(codes, names):

@@ -3,8 +3,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rdtrial.cohort import Cohort, encode_columns, read_cohort_csv, write_cohort_csv
+from rdtrial.cohort import (
+    Cohort,
+    encode_columns,
+    read_cohort_csv,
+    unique_rows,
+    write_cohort_csv,
+)
 from rdtrial.errors import DataError, UnknownState, UnknownVariable
 
 from helpers import chain_network
@@ -69,3 +77,28 @@ def test_encode_columns_unknown_state_names_context():
     cohort = Cohort(columns=("a",), rows=[("2",)], ids=np.array([41]))
     with pytest.raises(UnknownState, match=r"record 41, column 'a'"):
         encode_columns(net, cohort)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 40),
+    # 64 and more columns overflow a plain mixed-radix key, so the dense
+    # re-ranking of the keys runs
+    st.sampled_from([0, 1, 2, 3, 8, 64, 70]),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_unique_rows_equal_numpy_unique_over_rows(n, m, top, seed):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(-1, top + 1, size=(n, m))
+    codes[rng.random(n) < 0.2] = -1  # rows with every cell missing
+    for r in range(1, n):
+        if rng.random() < 0.3:
+            codes[r] = codes[rng.integers(0, r)]  # repeated rows
+    for matrix in (codes, codes >= 0):
+        rows, inverse = unique_rows(matrix)
+        want_rows, want_inverse = np.unique(matrix, axis=0, return_inverse=True)
+        assert rows.shape == want_rows.shape
+        assert rows.dtype == want_rows.dtype
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))

@@ -20,6 +20,7 @@ from rdtrial.errors import (
 from rdtrial import inference
 from rdtrial.inference import dense_joint, log_evidence, row_log_likelihoods
 from rdtrial.learning import (
+    _collapse_patterns,
     _expected_counts,
     em_fit,
     mle_fit,
@@ -133,7 +134,7 @@ _SCENARIO = make_confounded_scenario(n=10, seed=0).network
     "scenario-child-observed", "scenario-all-observed",
 ])
 def test_family_posterior_matches_dense_joint(net, child, evidence):
-    counts, log_p = _expected_counts(net, [evidence], np.ones(1))
+    counts, log_p = _expected_counts(net, inference._code_matrix(net, [evidence]), np.ones(1))
     got = counts[child].reshape(net.cpts[child].n_configs, -1)
     want = _family_oracle(net, child, evidence)
     assert got.shape == want.shape
@@ -152,7 +153,7 @@ def test_expected_counts_match_dense_joint_on_random_networks(seed, data):
     weights = np.array(data.draw(st.lists(
         st.integers(1, 9), min_size=len(rows), max_size=len(rows))), dtype=np.float64)
 
-    counts, log_p = _expected_counts(net, patterns, weights)
+    counts, log_p = _expected_counts(net, inference._code_matrix(net, patterns), weights)
     for child in net.names:
         want = sum(w * _family_oracle(net, child, pat) for pat, w in zip(patterns, weights))
         got = counts[child].reshape(net.cpts[child].n_configs, -1)
@@ -193,7 +194,7 @@ def test_expected_counts_equal_the_per_pattern_loop_bitwise(seed, data):
         if pat not in patterns:
             patterns.append(pat)
     weights = np.arange(1.0, len(patterns) + 1) / 3.0
-    counts, log_p = _expected_counts(net, patterns, weights)
+    counts, log_p = _expected_counts(net, inference._code_matrix(net, patterns), weights)
     want_counts, want_log_p = _reference_expected_counts(net, patterns, weights)
     assert np.array_equal(log_p, want_log_p)
     for name in net.names:
@@ -208,7 +209,7 @@ def test_expected_counts_add_in_pattern_order_when_a_family_is_never_observed():
     cells = [(0, 0, 0), (0, 0, 1), (0, 0, -1), (0, 0, 2), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
     patterns = [{n: s for n, s in zip(net.names, row) if s >= 0} for row in cells]
     weights = np.arange(1.0, len(patterns) + 1) / 3.0
-    counts, log_p = _expected_counts(net, patterns, weights)
+    counts, log_p = _expected_counts(net, inference._code_matrix(net, patterns), weights)
     want_counts, want_log_p = _reference_expected_counts(net, patterns, weights)
     assert np.array_equal(log_p, want_log_p)
     for name in net.names:
@@ -262,6 +263,21 @@ def test_em_complete_data_equals_mle_bitwise():
         for name in net.names:
             assert np.array_equal(direct.cpts[name].rows, via_em.cpts[name].rows)
         assert report.converged and report.iterations == 1
+
+
+def test_em_complete_data_log_likelihood_is_the_per_row_log_evidence():
+    # the complete-data shortcut scores every pattern as hard evidence in
+    # one batched call; each row equals its own scalar query
+    rng = np.random.default_rng(23)
+    net = random_network(rng, max_nodes=6)
+    cols = {n: rng.integers(0, net.card(n), size=300) for n in net.names}
+    fitted, report = em_fit(net, cols, alpha=1.0)
+    patterns, weights, _ = _collapse_patterns(net, cols)
+    per_pattern = [log_evidence(fitted, p) for p in patterns]
+    (ll,) = report.log_likelihood
+    assert ll == pytest.approx(float(np.dot(weights, per_pattern)), rel=0, abs=1e-12)
+    per_row = [log_evidence(fitted, {n: int(cols[n][r]) for n in net.names}) for r in range(300)]
+    assert ll == pytest.approx(math.fsum(per_row), rel=1e-12, abs=0)
 
 
 def test_em_trace_is_non_decreasing():

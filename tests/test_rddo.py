@@ -21,7 +21,7 @@ from rdtrial.modelio import save_model
 from rdtrial.rddo import (
     RunConfig,
     ScoredRecord,
-    WindowReport,
+    WindowScan,
     estimate_effects,
     parse_run_config,
     rank_effects,
@@ -113,6 +113,17 @@ def test_score_cohort_memoizes_patterns():
     scores = {r.score for r in result.records}
     assert len(scores) == 2  # two patterns, two distinct scores
     assert len(result.records) == 1000
+
+
+def test_score_cohort_records_share_one_read_only_mapping_per_pattern():
+    net = confounded_triple()
+    rows = [("1", "1", "0"), ("0", None, "1"), ("1", "1", "1"), ("0", None, "0")]
+    result = score_cohort(net, Cohort(columns=("z", "x", "y"), rows=rows), t=0, outcome="y")
+    first, second, third, fourth = (r.evidence for r in result.records)
+    assert first is third and second is fourth and first is not second
+    assert first == {"z": 1, "x": 1} and second == {"z": 0}
+    with pytest.raises(TypeError):
+        first["z"] = 0
 
 
 def test_score_cohort_threshold_distance():
@@ -452,19 +463,62 @@ def test_scan_windows_coarse_grid_counts_the_records_between_grid_points():
     assert len({r.randomized for r in coarse}) == 2  # the gate both passes and rejects
 
 
-def test_select_window_prefers_power_then_smaller_k():
-    def rep(k, randomized, power):
-        return WindowReport(
-            k=k, threshold=0.5, member_ids=np.arange(k), p_values={},
-            randomized=randomized, power=power, fp=0, fn=0,
-        )
+@settings(max_examples=100, deadline=None)
+@given(_scan_cases(), st.sampled_from([0.5, 0.45]), st.data())
+def test_window_scan_items_equal_the_per_window_reference_loop(case, threshold, data):
+    net, records, names, k_min, k_step, k_max = case
+    scan = scan_windows(net, records, threshold, names, k_min=k_min, k_step=k_step, k_max=k_max)
+    want = _reference_scan(net, records, threshold, names, 0.05, k_min, k_step, k_max)
+    assert isinstance(scan, WindowScan) and len(scan) == len(want)
+    assert _as_tuples(scan) == want
+    assert _as_tuples(scan[i] for i in range(-len(scan), len(scan))) == want + want
+    window = data.draw(st.slices(len(scan)))
+    assert _as_tuples(scan[window]) == want[window]
+    for i in (len(scan), -len(scan) - 1):
+        with pytest.raises(IndexError):
+            scan[i]
 
-    assert select_window([]) is None
-    assert select_window([rep(10, False, 1.0), rep(20, False, 0.9)]) is None
-    best = select_window([rep(10, True, 0.5), rep(20, True, 0.9), rep(30, True, 0.9)])
+
+def _window_scan(rows):
+    """A WindowScan whose windows have the given (k, randomized, power)."""
+    ks = np.array([k for k, _, _ in rows], dtype=np.int64)
+    zeros = np.zeros(len(rows), dtype=np.int64)
+    return WindowScan(
+        threshold=0.5, ks=ks, sorted_ids=np.arange(ks.max(initial=0)), p_values={},
+        randomized=np.array([r for _, r, _ in rows], dtype=bool),
+        power=np.array([p for _, _, p in rows], dtype=np.float64), fp=zeros, fn=zeros,
+    )
+
+
+def test_select_window_prefers_power_then_smaller_k():
+    assert select_window(_window_scan([])) is None
+    assert select_window(_window_scan([(10, False, 1.0), (20, False, 0.9)])) is None
+    best = select_window(_window_scan([(10, True, 0.5), (20, True, 0.9), (30, True, 0.9)]))
     assert best.k == 20  # ties keep the smaller window
-    lone = select_window([rep(10, False, 1.0), rep(20, True, 0.2)])
+    lone = select_window(_window_scan([(10, False, 1.0), (20, True, 0.2)]))
     assert lone.k == 20
+
+
+def _reference_select(reports):
+    """select_window as the loop over reports: the first strictly better."""
+    best = None
+    for r in reports:
+        if r.randomized and (best is None or r.power > best.power):
+            best = r
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.booleans(), st.sampled_from([0.0, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)),
+    max_size=30,
+))
+def test_select_window_equals_the_reference_loop(columns):
+    scan = _window_scan([(10 * (i + 1), r, p) for i, (r, p) in enumerate(columns)])
+    got, want = select_window(scan), _reference_select(scan)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert (got.k, got.power, got.randomized) == (want.k, want.power, True)
 
 
 # ---------------------------------------------------------------------------
