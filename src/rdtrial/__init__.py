@@ -37,7 +37,6 @@ from .inference import (
     enumerate_posterior,
     joint_probability,
     log_evidence,
-    marginal_log_likelihood,
     posterior,
 )
 from .learning import (
@@ -114,7 +113,7 @@ __all__ = [
     "load_model", "save_model",
     # inference
     "Posterior", "posterior", "do_posterior", "joint_probability",
-    "log_evidence", "marginal_log_likelihood", "dense_joint",
+    "log_evidence", "dense_joint",
     "enumerate_posterior",
     # learning
     "FitReport", "mle_fit", "em_fit", "stratified_split", "undersample",

@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__
 from .cohort import Cohort, read_cohort_csv, write_cohort_csv
-from .errors import ConfigError, DataError, RdTrialError, UnknownState
+from .errors import ConfigError, DataError, RdTrialError, UnknownState, required_file
 from .inference import do_posterior, posterior
 from .learning import em_fit
 from .model import Cpt, DiscreteNetwork, unroll
@@ -289,9 +289,8 @@ def _parse_assignments(text: str) -> dict[str, str]:
 
 
 def _load_net(path: str, horizon: int | None) -> DiscreteNetwork:
-    if not Path(path).exists():
-        raise ConfigError(f"model file not found: {path}")
-    model = load_model(path)
+    with required_file("model", path):
+        model = load_model(path)
     if isinstance(model, DiscreteNetwork):
         return model
     if horizon is None:
@@ -333,10 +332,10 @@ def _cmd_infer(args) -> int:
 
 def _read_number_file(path: str, what: str) -> np.ndarray:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} file not found: {p}")
+    with required_file(what, p):
+        text = p.read_text(encoding="utf-8")
     values = []
-    for i, line in enumerate(p.read_text(encoding="utf-8").splitlines()):
+    for i, line in enumerate(text.splitlines()):
         line = line.strip()
         if not line:
             continue
@@ -365,10 +364,10 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    if not Path(args.structure).exists():
-        raise ConfigError(f"structure file not found: {args.structure}")
+    with required_file("structure", args.structure):
+        text = Path(args.structure).read_text(encoding="utf-8")
     try:
-        doc = json.loads(Path(args.structure).read_text(encoding="utf-8"))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.structure}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "variables" not in doc:
@@ -381,9 +380,8 @@ def _cmd_learn(args) -> int:
         doc["cpts"] = _uniform_cpts(doc)
     structure = network_from_dict(doc)
 
-    if not Path(args.cohort).exists():
-        raise ConfigError(f"cohort file not found: {args.cohort}")
-    cohort = read_cohort_csv(args.cohort)
+    with required_file("cohort", args.cohort):
+        cohort = read_cohort_csv(args.cohort)
     for col in cohort.columns:
         if col not in structure:
             raise DataError(f"cohort column {col!r} is not a model variable")
@@ -429,9 +427,8 @@ def _uniform_cpts(doc: dict) -> dict:
 
 
 def _cmd_discretize(args) -> int:
-    if not Path(args.cohort).exists():
-        raise ConfigError(f"cohort file not found: {args.cohort}")
-    cohort = read_cohort_csv(args.cohort)
+    with required_file("cohort", args.cohort):
+        cohort = read_cohort_csv(args.cohort)
     if args.outcome not in cohort.columns:
         raise DataError(f"cohort has no column {args.outcome!r}")
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
@@ -501,10 +498,10 @@ def _cmd_synth(args) -> int:
     params = {}
     if args.config:
         p = Path(args.config)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
+        with required_file("config", p):
+            text = p.read_text(encoding="utf-8")
         try:
-            params = json.loads(p.read_text(encoding="utf-8"))
+            params = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
         if not isinstance(params, dict):
@@ -640,12 +637,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once: parsing leaves no state in the parser, and building it costs
+# more than a small command's own work
+_PARSER = _build_parser()
+
+
 def dispatch(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if not getattr(args, "command", None):
-            parser.print_help(sys.stderr)
+            _PARSER.print_help(sys.stderr)
             return 1
         return args.func(args)
     except ConfigError as exc:

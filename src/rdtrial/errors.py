@@ -5,6 +5,8 @@ can catch package failures with a single except clause. The CLI maps
 :class:`ConfigError` to exit code 1 and :class:`DataError` to exit code 2.
 """
 
+from contextlib import contextmanager
+
 
 class RdTrialError(Exception):
     """Base class for all rdtrial errors."""
@@ -114,3 +116,13 @@ class ConfigError(RdTrialError):
 
 class DataError(RdTrialError):
     """Malformed data content. CLI exit code 2. Names file, row, column."""
+
+
+@contextmanager
+def required_file(what: str, path):
+    """Turn a missing input file, met when it is opened, into ConfigError
+    ("<what> file not found: <path>"); no probe before the open."""
+    try:
+        yield
+    except (FileNotFoundError, NotADirectoryError):
+        raise ConfigError(f"{what} file not found: {path}") from None

@@ -24,7 +24,10 @@ log P = -inf), leaving the other rows untouched.
 
 EM and :func:`row_log_likelihoods` pass a code matrix instead, -1 marking a
 missing cell: each observed cell is an evidence indicator (Darwiche 2003),
-so rows with different observed sets share one elimination.
+so rows with different observed sets share one elimination. For EM the
+elimination also runs in family mode: its steps form a clique tree, and one
+distribute pass over them gives every family's posterior table, so the
+E-step makes one call per iteration, not one per family.
 """
 
 from __future__ import annotations
@@ -197,7 +200,8 @@ def _eliminate_all(
     keep: set[int],
     evidence: Mapping[str, int | np.ndarray] | np.ndarray,
     elimination_order: Sequence[str] | None = None,
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    families: Sequence[tuple[int, ...]] | None = None,
+) -> tuple[np.ndarray | list[np.ndarray], np.ndarray, tuple[int, ...]]:
     """Batched VE; returns (P(kept | evidence), log P(evidence), kept vars).
 
     Evidence maps non-kept names to state indices or 1-D int arrays of one
@@ -209,9 +213,18 @@ def _eliminate_all(
     step renormalizes every row by its own sum, kept as mantissa and exponent
     so long chains cannot underflow. A row's bits depend on that row alone
     (ones multiply exactly); an impossible row gets zeros and -inf.
+
+    Family mode (``families`` given; a code matrix, nothing kept) calibrates
+    the elimination's clique tree and returns, in place of the table, one
+    (B, *family) table of P(family | evidence) per family, axes in the
+    family's order. The elimination is the collect pass, so log P is the
+    one the same call without ``families`` gives; see :func:`_family_tables`
+    for the distribute pass.
     """
     cards = [v.card for v in net.variables]
     kept = tuple(sorted(keep))
+    if families is not None and (kept or not isinstance(evidence, np.ndarray)):
+        raise ValueError("family mode takes a code matrix and keeps nothing")
     if isinstance(evidence, np.ndarray):
         ev, batch, codes = {}, len(evidence), evidence.T[:, :, None]
         indicators = [_Factor((v,), ((codes[v] == np.arange(c)) | (codes[v] < 0)).astype(np.float64))
@@ -240,6 +253,7 @@ def _eliminate_all(
     else:
         order = _min_degree_order([f.vars for f in live], to_eliminate)
 
+    steps: list[tuple[_Factor, _Factor | None]] = []  # (product, message) per v
     for v in order:
         # never empty: v's own CPT factor, or a product holding it, is live
         group = [f for f in live if v in f.vars]
@@ -250,8 +264,12 @@ def _eliminate_all(
         summed = _sum_out(prod, v)
         total = _row_sums(summed.table)
         scale, expo = _fold(scale, expo, total)
+        message = None
         if summed.vars:
-            live.append(_Factor(summed.vars, summed.table / _per_row(total, summed.table.ndim)))
+            message = _Factor(summed.vars, summed.table / _per_row(total, summed.table.ndim))
+            live.append(message)
+        if families is not None:
+            steps.append((prod, message))
 
     table = np.ones(1)
     if kept:
@@ -271,7 +289,63 @@ def _eliminate_all(
     logs = np.array([math.log(s) if s > 0.0 else -math.inf for s in scale.tolist()])
     log_p = np.array(np.broadcast_to(logs + expo * math.log(2.0), (batch,)))
     probs[log_p == -math.inf] = 0.0
+    if families is not None:
+        return _family_tables(steps, order, families, cards, log_p), log_p, kept
     return probs, log_p, kept
+
+
+def _marginal(f: _Factor, scope: Sequence[int]) -> np.ndarray:
+    """f's table summed down to the variables in scope, one axis at a time."""
+    for v in f.vars:
+        if v not in scope:
+            f = _sum_out(f, v)
+    return f.table
+
+
+def _family_tables(
+    steps: list[tuple[_Factor, _Factor | None]],
+    order: list[int],
+    families: Sequence[tuple[int, ...]],
+    cards: Sequence[int],
+    log_p: np.ndarray,
+) -> list[np.ndarray]:
+    """Hugin distribute pass over the collect pass's (product, message) steps.
+
+    Step i's product is a clique potential and its message goes to the
+    step that eliminates the message's first variable (Lauritzen &
+    Spiegelhalter 1988; Jensen, Lauritzen & Olesen 1990). Walking the steps
+    in reverse, a step's belief is its product times its consumer's belief,
+    summed down to the message's scope and renormalized per row, divided by
+    the message (0/0 := 0). A family lies in the product of the step that
+    eliminates its first member, since that step takes in its CPT factor;
+    its table is that belief summed down and renormalized per row. Every
+    operation is per row, so a row's bits depend on that row alone; rows
+    with log P = -inf come back all zero.
+    """
+    position = {v: i for i, v in enumerate(order)}
+    beliefs: list[np.ndarray] = [np.empty(0)] * len(steps)
+    for i in reversed(range(len(steps))):
+        prod, message = steps[i]
+        if message is None:  # the root of its tree
+            beliefs[i] = prod.table
+            continue
+        j = min(position[v] for v in message.vars)
+        marg = _marginal(_Factor(steps[j][0].vars, beliefs[j]), message.vars)
+        marg = marg / _per_row(_row_sums(marg), marg.ndim)
+        ratio = marg / np.where(message.table > 0.0, message.table, 1.0)
+        beliefs[i] = _multiply(prod, _Factor(message.vars, ratio), cards).table
+
+    dead = log_p == -math.inf
+    tables = []
+    for family in families:
+        i = min(position[v] for v in family)
+        table = _marginal(_Factor(steps[i][0].vars, beliefs[i]), family)
+        table = np.array(np.broadcast_to(table / _per_row(_row_sums(table), table.ndim),
+                                         (len(log_p), *table.shape[1:])))
+        table[dead] = 0.0
+        scope = sorted(family)
+        tables.append(np.transpose(table, [0, *(1 + scope.index(v) for v in family)]))
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +460,6 @@ def row_log_likelihoods(
     out = _eliminate_all(net, set(), codes)[1]
     out[(codes < 0).all(axis=1)] = 0.0
     return out
-
-
-def marginal_log_likelihood(net: DiscreteNetwork, rows: Sequence[Mapping[str, int]]) -> float:
-    """Sum over rows of log P(observed part of row).
-
-    Impossible rows contribute -inf (and therefore make the total -inf);
-    use :func:`row_log_likelihoods` to locate them by index.
-    """
-    return float(row_log_likelihoods(net, rows).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Parameter learning and cohort partitioning.
 
 ``mle_fit`` does closed-form maximum likelihood with Laplace smoothing;
-``em_fit`` handles missing values with exact-inference expected counts, one
-elimination per family over all observation patterns at once; each pattern's
-log-likelihood is the normalizer of the same runs.
+``em_fit`` handles missing values with exact-inference expected counts from
+one calibrated elimination per iteration over all observation patterns at
+once (collect, then distribute, over the elimination's clique tree); each
+pattern's log-likelihood is the normalizer of the same run.
 With complete data the two agree bit for bit because em_fit takes an
 integer-count shortcut and the M-step is the same counts-to-CPT code path.
 """
@@ -137,20 +138,18 @@ def _expected_counts(
     """E-step: weighted (parents..., child) counts per variable, log P per pattern.
 
     codes holds one pattern per row, a column per variable, -1 where the
-    cell is missing. One VE per variable over every pattern at once: missing
-    cells are evidence indicators, the whole family is kept (observed
-    members come back one-hot) and the counts are the weighted sum over
-    patterns, added in pattern order. Every run's normalizer is each
-    pattern's log P; the last run's is returned. A zero-probability pattern
-    raises.
+    cell is missing. One calibrated elimination over every pattern at once
+    gives every family's table (missing cells are evidence indicators, so
+    observed members come back one-hot) and each pattern's log P, its
+    normalizer. The counts are the weighted sum over patterns, added in
+    pattern order. A zero-probability pattern raises.
     """
     w = np.asarray(weights, dtype=np.float64)
+    families = [tuple(net.index(f) for f in (*net.cpts[v.name].parents, v.name))
+                for v in net.variables]
+    tables, log_p, _ = inference._eliminate_all(net, set(), codes, families=families)
     counts = {}
-    for v in net.variables:
-        family = [net.index(f) for f in (*net.cpts[v.name].parents, v.name)]
-        table, log_p, kept = inference._eliminate_all(net, set(family), codes)
-        # VE returns axes in global index order; the tensor wants family order
-        table = np.transpose(table, [0, *(1 + kept.index(f) for f in family)])
+    for v, family, table in zip(net.variables, families, tables):
         # cumsum adds strictly in pattern order; sum(axis=0) may pair terms up
         counts[v.name] = np.cumsum(w.reshape(-1, *[1] * len(family)) * table, axis=0)[-1]
 
@@ -176,9 +175,10 @@ def em_fit(
     """Expectation-maximization on rows with missing values.
 
     E-step computes expected family counts by exact inference, one
-    elimination per family over all distinct observation patterns; M-step
-    is mle_fit's counts-to-CPT normalization. Convergence is max absolute
-    parameter change below ``tol``.
+    calibrated elimination over all distinct observation patterns that
+    yields every family's table; M-step is mle_fit's counts-to-CPT
+    normalization. Convergence is max absolute parameter change below
+    ``tol``.
     The log-likelihood trace (one entry per parameter vector visited, first
     entry = initialization; each from that iteration's E-step, the last from
     row_log_likelihoods) is non-decreasing when alpha = 0; with alpha > 0

@@ -32,6 +32,7 @@ from .errors import (
     EmptySample,
     NoCausalPath,
     TooFewRecords,
+    required_file,
 )
 from .inference import do_posterior, posterior
 from .learning import stratified_split
@@ -650,10 +651,10 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
 
 def load_run_config(path: str | Path) -> RunConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+    with required_file("config", p):
+        text = p.read_text(encoding="utf-8")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     return parse_run_config(doc, p.parent)
@@ -692,9 +693,8 @@ class RdDoReport:
 
 
 def _resolve_net(config: RunConfig) -> DiscreteNetwork:
-    if not Path(config.model_path).exists():
-        raise ConfigError(f"model file not found: {config.model_path}")
-    model = load_model(config.model_path)
+    with required_file("model", config.model_path):
+        model = load_model(config.model_path)
     if isinstance(model, DiscreteNetwork):
         return model
     time_points = config.time_points
@@ -738,9 +738,8 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
     """
     net = _resolve_net(config)
     cohort_path = Path(config.cohort_path)
-    if not cohort_path.exists():
-        raise ConfigError(f"cohort file not found: {cohort_path}")
-    cohort = read_cohort_csv(cohort_path)
+    with required_file("cohort", cohort_path):
+        cohort = read_cohort_csv(cohort_path)
     for col in cohort.columns:
         if col not in net:
             raise DataError(f"cohort column {col!r} is not a model variable")

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
 from rdtrial.errors import DegenerateTable
-from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
+from rdtrial.model import Cpt, DbnTemplate, DiscreteNetwork, VariableDef, unroll
 from rdtrial.stats import EXPECTED_MIN, TestResult
 
 # Keep the dense joint small enough that the enumeration oracle stays fast;
@@ -61,6 +61,60 @@ def with_structural_zeros(
         rows[zero] = 0.0
         cpts[name] = Cpt(cpt.child, cpt.parents, rows / rows.sum(axis=1, keepdims=True))
     return DiscreteNetwork(net.variables, net.arcs, cpts, net.outcomes)
+
+
+def disjoint_union(a: DiscreteNetwork, b: DiscreteNetwork) -> DiscreteNetwork:
+    """a and b side by side as one network of two components; b's variables
+    are renamed w0, w1, ... so the names stay distinct."""
+    rename = {n: f"w{i}" for i, n in enumerate(b.names)}
+    variables = [*a.variables,
+                 *(VariableDef(name=rename[v.name], states=v.states) for v in b.variables)]
+    arcs = [*a.arcs, *((rename[p], rename[c]) for p, c in b.arcs)]
+    cpts = dict(a.cpts)
+    for name, cpt in b.cpts.items():
+        cpts[rename[name]] = Cpt(rename[name], tuple(rename[p] for p in cpt.parents), cpt.rows)
+    return DiscreteNetwork(variables=variables, arcs=arcs, cpts=cpts)
+
+
+def panel_network(rng: np.random.Generator, horizon: int = 3) -> DiscreteNetwork:
+    """A panel template unrolled over slices 0..horizon, Dirichlet CPT rows.
+
+    A static and an entry variable feed lab@0; each slice holds lab -> drug
+    -> out with lab -> out, and lab and drug carry over to the next slice
+    (drug also into the next lab). Horizon 3 gives 14 nodes.
+    """
+    variables = (
+        VariableDef("sex", ("f", "m"), kind="static"),
+        VariableDef("age", ("young", "mid", "old"), kind="entry"),
+        VariableDef("lab", ("low", "normal", "high")),
+        VariableDef("drug", ("no", "yes")),
+        VariableDef("out", ("no", "yes")),
+    )
+    card = {"sex": 2, "age@entry": 3, "lab": 3, "drug": 2, "out": 2}
+    families = {
+        "sex": (), "age@entry": (),
+        "lab@0": ("sex", "age@entry"), "drug@0": ("lab@0",), "out@0": ("lab@0", "drug@0"),
+        "lab@t": ("lab@t-1", "drug@t-1"), "drug@t": ("lab@t", "drug@t-1"),
+        "out@t": ("lab@t", "drug@t"),
+    }
+
+    def base(name: str) -> str:
+        return name if name in card else name.split("@")[0]
+
+    cpts = {}
+    for key, parents in families.items():
+        n_cfg = int(np.prod([card[base(p)] for p in parents])) if parents else 1
+        cpts[key] = Cpt(key, parents, rng.dirichlet(np.ones(card[base(key)]), size=n_cfg))
+    arcs = (("lab", "drug"), ("lab", "out"), ("drug", "out"))
+    template = DbnTemplate(
+        variables=variables,
+        slice0_arcs=arcs,
+        intra_arcs=arcs,
+        inter_arcs=(("lab", "lab"), ("drug", "drug"), ("drug", "lab")),
+        static_arcs=(("sex", "lab", (0,)), ("age", "lab", (0,))),
+        cpts=cpts,
+    )
+    return unroll(template, horizon)
 
 
 def random_evidence(

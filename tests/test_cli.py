@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rdtrial.cli import EFFECTS_HEADER, WINDOWS_HEADER, dispatch
+from rdtrial.cli import _PARSER, EFFECTS_HEADER, WINDOWS_HEADER, _build_parser, dispatch
 from rdtrial.cohort import Cohort, write_cohort_csv
 from rdtrial.modelio import load_model, save_model
 from rdtrial.synth import confounded_triple, make_confounded_scenario, sample_cohort
@@ -64,6 +64,60 @@ def test_no_command_prints_help(capsys):
 def test_unknown_command_is_config_error(capsys):
     assert dispatch(["frobnicate"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_calls_in_one_process_behave_like_fresh_calls(tmp_path, capsys):
+    # the parser is built once per process; parsing must leave no state in it
+    scores = _write_lines(tmp_path / "s.txt", [0.1, 0.4, 0.6, 0.9])
+    labels = _write_lines(tmp_path / "l.txt", [0, 0, 1, 1])
+    threshold = ["threshold", "--scores", str(scores), "--labels", str(labels)]
+    learn = _write_learn_inputs(tmp_path)
+    assert dispatch(threshold) == 0
+    first = capsys.readouterr().out
+    # a usage error, then a valid call of another subcommand, then the first
+    assert dispatch(["threshold", "--scores", str(scores)]) == 1
+    assert "--labels" in capsys.readouterr().err
+    assert dispatch(learn + ["--alpha", "1", "--seed", "7", "--max-iter", "3"]) == 0
+    assert "iterations=" in capsys.readouterr().out
+    assert dispatch(threshold) == 0
+    assert capsys.readouterr().out == first
+    # options given to an earlier call do not stay as defaults
+    for argv in (learn, threshold, ["rddo", "--config", "x.json"], ["synth", "--out", "o"]):
+        assert vars(_PARSER.parse_args(argv)) == vars(_build_parser().parse_args(argv))
+
+
+def _missing_file_cases(tmp_path):
+    """(argv, what, path named in the message) per input file a command opens."""
+    _, model, cohort = _write_scenario(tmp_path, n=30)
+    scores = _write_lines(tmp_path / "s.txt", [0.1, 0.9])
+    ghost = str(tmp_path / "ghost")
+    resolved = str(Path(ghost).resolve())
+    learn = _write_learn_inputs(tmp_path)
+    out = ["--out", str(tmp_path / "out")]
+    return {
+        "rddo-config": (["rddo", "--config", ghost], "config", ghost),
+        "rddo-model": (["rddo", "--model", ghost, "--cohort", str(cohort), *out], "model", resolved),
+        "rddo-cohort": (["rddo", "--model", str(model), "--cohort", ghost, *out], "cohort", resolved),
+        "learn-structure": (["learn", "--structure", ghost, *learn[3:]], "structure", ghost),
+        "learn-cohort": ([*learn[:3], "--cohort", ghost, *learn[5:]], "cohort", ghost),
+        "infer-model": (["infer", "--model", ghost, "--target", "y"], "model", ghost),
+        "threshold-scores": (["threshold", "--scores", ghost, "--labels", str(scores)], "scores", ghost),
+        "threshold-labels": (["threshold", "--scores", str(scores), "--labels", ghost], "labels", ghost),
+        "discretize-cohort": (["discretize", "--cohort", ghost, "--columns", "v", "--outcome", "y",
+                               "--positive", "1", *out], "cohort", ghost),
+        "synth-config": (["synth", "--config", ghost, *out], "config", ghost),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "rddo-config", "rddo-model", "rddo-cohort", "learn-structure", "learn-cohort",
+    "infer-model", "threshold-scores", "threshold-labels", "discretize-cohort", "synth-config",
+])
+def test_missing_input_file_exits_1_naming_it(tmp_path, capsys, case):
+    argv, what, path = _missing_file_cases(tmp_path)[case]
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: {what} file not found: {path}\n"
 
 
 def test_rddo_needs_config_or_paths(capsys):

@@ -23,14 +23,19 @@ from rdtrial.inference import (
     enumerate_posterior,
     joint_probability,
     log_evidence,
-    marginal_log_likelihood,
     posterior,
     row_log_likelihoods,
 )
 from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
 from rdtrial.synth import confounded_triple
 
-from helpers import chain_network, random_evidence, random_network, with_structural_zeros
+from helpers import (
+    chain_network,
+    disjoint_union,
+    random_evidence,
+    random_network,
+    with_structural_zeros,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +376,137 @@ def test_code_matrix_impossible_rows_do_not_poison_the_others():
 
 
 # ---------------------------------------------------------------------------
+# family mode: one calibrated elimination gives every family's table
+# ---------------------------------------------------------------------------
+
+def _families(net):
+    return [tuple(net.index(f) for f in (*net.cpts[n].parents, n)) for n in net.names]
+
+
+def _family_oracle(joint, cards, row, family):
+    """P(family | observed cells of row) from the dense joint, axes in
+    family order; all zeros when the row is impossible."""
+    sub = joint
+    for v in np.flatnonzero(row >= 0):
+        shape = [1] * len(cards)
+        shape[v] = -1
+        sub = sub * (np.arange(cards[v]) == row[v]).reshape(shape)
+    marg = sub.sum(axis=tuple(v for v in range(len(cards)) if v not in family))
+    marg = np.transpose(marg, [sorted(family).index(v) for v in family])
+    total = float(marg.sum())
+    return marg / total if total > 0 else marg
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["plain", "zeros", "forest", "one-node"]))
+def test_family_mode_matches_the_dense_joint_and_plain_elimination(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "one-node":
+        net = random_network(rng, min_nodes=1, max_nodes=1)
+    elif kind == "forest":
+        net = disjoint_union(random_network(rng, min_nodes=1, max_nodes=4),
+                             random_network(rng, min_nodes=1, max_nodes=4))
+    else:
+        net = random_network(rng, min_nodes=2, max_nodes=7)
+    if kind != "plain":
+        net = with_structural_zeros(net, rng)
+    n = len(net.names)
+    cards = np.array([net.card(name) for name in net.names])
+    rows = int(rng.integers(1, 13))
+    codes = (rng.random((rows, n)) * cards).astype(np.intp)
+    codes[rng.random((rows, n)) < rng.random()] = -1
+    codes[rng.random(rows) < 0.15] = -1  # all-missing rows
+    families = _families(net)
+
+    tables, log_p, kept = inference._eliminate_all(net, set(), codes, families=families)
+    assert kept == () and len(tables) == n
+    # the collect pass is the plain elimination: log P to the bit
+    assert np.array_equal(log_p, inference._eliminate_all(net, set(), codes)[1])
+
+    joint = dense_joint(net)
+    for table, family in zip(tables, families):
+        assert table.shape == (rows, *cards[list(family)])
+        for i, row in enumerate(codes):
+            want = _family_oracle(joint, cards, row, family)
+            if log_p[i] == -math.inf:
+                assert not want.any() and not table[i].any()
+            else:
+                np.testing.assert_allclose(table[i], want, rtol=0, atol=1e-12)
+
+    # a row's bits do not depend on the rest of the batch
+    def run(sub):
+        return inference._eliminate_all(net, set(), sub, families=families)
+
+    for i in range(rows):
+        one, one_log_p, _ = run(codes[i:i + 1])
+        assert one_log_p[0] == log_p[i]
+        assert all(np.array_equal(a[0], b[i]) for a, b in zip(one, tables))
+    perm = rng.permutation(rows)
+    shuffled, shuffled_log_p, _ = run(codes[perm])
+    assert np.array_equal(shuffled_log_p, log_p[perm])
+    assert all(np.array_equal(a, b[perm]) for a, b in zip(shuffled, tables))
+    cut = rows // 2 or 1
+    parts = [run(codes[part]) for part in (slice(None, cut), slice(cut, None)) if len(codes[part])]
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), log_p)
+    for f, table in enumerate(tables):
+        assert np.array_equal(np.concatenate([p[0][f] for p in parts]), table)
+
+
+def test_family_mode_impossible_rows_are_zero_in_every_component():
+    # b copies a, so a row observing a != b is impossible; the second
+    # component (d -> e) is possible on its own, yet its tables go to zero
+    copy = DiscreteNetwork(
+        variables=[VariableDef(name=n, states=("0", "1")) for n in "abc"],
+        arcs=[("a", "b"), ("b", "c")],
+        cpts={
+            "a": Cpt("a", (), np.array([[0.5, 0.5]])),
+            "b": Cpt("b", ("a",), np.array([[1.0, 0.0], [0.0, 1.0]])),
+            "c": Cpt("c", ("b",), np.array([[0.8, 0.2], [0.3, 0.7]])),
+        },
+    )
+    net = disjoint_union(copy, chain_network())
+    codes = np.array([[0, 1, -1, 1, -1, -1], [-1, 1, 0, -1, -1, 1], [-1] * 6])
+    families = _families(net)
+    tables, log_p, _ = inference._eliminate_all(net, set(), codes, families=families)
+    assert log_p[0] == -math.inf and np.isfinite(log_p[1:]).all()
+    assert all(not t[0].any() for t in tables)
+    for i in (1, 2):
+        one, one_log_p, _ = inference._eliminate_all(net, set(), codes[i:i + 1], families=families)
+        assert one_log_p[0] == log_p[i]
+        assert all(np.array_equal(a[0], t[i]) for a, t in zip(one, tables))
+    # b = 1 forces a = 1: the (a, b) family table is one-hot at (1, 1)
+    assert np.array_equal(tables[1][1], [[0.0, 0.0], [0.0, 1.0]])
+    assert log_p[2] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_family_mode_does_not_underflow_on_a_long_chain():
+    # each observed flip costs a factor 0.01: unless every belief passed
+    # down the chain is renormalized, the distribute pass underflows to 0
+    n = 300
+    variables = [VariableDef(name=f"v{i}", states=("0", "1")) for i in range(n)]
+    cpts = {"v0": Cpt("v0", (), np.array([[0.5, 0.5]]))}
+    for i in range(1, n):
+        cpts[f"v{i}"] = Cpt(f"v{i}", (f"v{i - 1}",), np.array([[0.99, 0.01], [0.01, 0.99]]))
+    net = DiscreteNetwork(variables, [(f"v{i - 1}", f"v{i}") for i in range(1, n)], cpts)
+    codes = np.array([[i % 2 if i % 10 else -1 for i in range(n)]])
+    tables, log_p, _ = inference._eliminate_all(net, set(), codes, families=_families(net))
+    assert log_p[0] == row_log_likelihoods(net, [{f"v{i}": int(c) for i, c in enumerate(codes[0])
+                                                  if c >= 0}])[0]
+    assert np.isfinite(log_p[0])
+    for table in tables:
+        assert table[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_family_mode_argument_errors():
+    net = chain_network()
+    codes = np.array([[0, -1, 1]])
+    with pytest.raises(ValueError, match="family mode"):
+        inference._eliminate_all(net, {0}, codes, families=[(0,)])
+    with pytest.raises(ValueError, match="family mode"):
+        inference._eliminate_all(net, set(), {"a": 0}, families=[(0,)])
+
+
+# ---------------------------------------------------------------------------
 # do-operator
 # ---------------------------------------------------------------------------
 
@@ -440,7 +576,6 @@ def test_row_log_likelihoods():
     assert out[0] == pytest.approx(math.log(0.3 * 0.6), abs=1e-12)
     assert out[1] == 0.0
     assert out[2] == pytest.approx(math.log(0.3375), abs=1e-12)
-    assert marginal_log_likelihood(net, rows) == pytest.approx(out.sum(), abs=1e-12)
     assert row_log_likelihoods(net, []).shape == (0,)
     with pytest.raises(UnknownVariable):
         row_log_likelihoods(net, [{"a": 0}, {"zz": 0}])
