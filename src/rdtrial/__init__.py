@@ -18,6 +18,7 @@ from .errors import (
     IncompleteAssignment,
     InsufficientPositives,
     InvalidModel,
+    InvalidQuery,
     NoCausalPath,
     NonFiniteLikelihood,
     NonFiniteValue,
@@ -38,6 +39,7 @@ from .inference import (
     joint_probability,
     log_evidence,
     posterior,
+    requisite,
 )
 from .learning import (
     FitReport,
@@ -113,7 +115,7 @@ __all__ = [
     "load_model", "save_model",
     # inference
     "Posterior", "posterior", "do_posterior", "joint_probability",
-    "log_evidence", "dense_joint",
+    "log_evidence", "requisite", "dense_joint",
     "enumerate_posterior",
     # learning
     "FitReport", "mle_fit", "em_fit", "stratified_split", "undersample",
@@ -135,7 +137,7 @@ __all__ = [
     "make_confounded_scenario", "sample_cohort", "true_interventional",
     # errors
     "RdTrialError", "InvalidModel", "CyclicGraph", "UnnormalizedCpt",
-    "UnknownVariable", "UnknownState", "ZeroProbabilityEvidence",
+    "UnknownVariable", "UnknownState", "ZeroProbabilityEvidence", "InvalidQuery",
     "IncompleteAssignment", "EmptyParentConfiguration",
     "NonFiniteLikelihood", "InsufficientPositives", "EmptyClass",
     "NonFiniteValue", "DegenerateTable", "EmptySample", "SingleClass",

@@ -50,6 +50,11 @@ class ZeroProbabilityEvidence(RdTrialError):
     """The supplied evidence has probability zero under the model."""
 
 
+class InvalidQuery(RdTrialError, ValueError):
+    """A query that asks nothing: its target is observed or intervened on,
+    or its evidence contradicts its intervention. Also a ValueError."""
+
+
 class IncompleteAssignment(RdTrialError):
     """joint_probability requires a value for every variable."""
 

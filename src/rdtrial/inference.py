@@ -22,6 +22,16 @@ raises ZeroProbabilityEvidence on impossible evidence; a batched call never
 raises for that and marks the impossible rows instead (nan probabilities,
 log P = -inf), leaving the other rows untouched.
 
+:func:`posterior` and :func:`do_posterior` build only the query's requisite
+CPTs (:func:`requisite`): the factors of the target's connected part of the
+ancestral graph, evidence cutting the arcs out of observed nodes and an
+intervention the arcs into its variable, plus every ancestral CPT that holds
+a structural zero, so impossible evidence anywhere still reads as such.
+Barren factors sum to one and a disconnected strictly positive part only
+rescales the rows, so both drops are exact (Shachter 1998, Bayes-Ball;
+Geiger, Verma & Pearl 1990). :func:`log_evidence` needs every factor and
+keeps them all.
+
 EM and :func:`row_log_likelihoods` pass a code matrix instead, -1 marking a
 missing cell: each observed cell is an evidence indicator (Darwiche 2003),
 so rows with different observed sets share one elimination. For EM the
@@ -34,18 +44,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     IncompleteAssignment,
+    InvalidQuery,
     TooLargeForEnumeration,
     UnknownState,
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
-from .model import Cpt, DiscreteNetwork, mutilate, parent_config_index
+# mutilate is not called here: a do-query cuts the arcs by name. The name
+# stays bound because bench/spans.py wraps rdtrial.inference.mutilate.
+from .model import Cpt, DiscreteNetwork, mutilate, parent_config_index  # noqa: F401
 
 Evidence = Mapping[str, int | np.ndarray]
 
@@ -108,6 +121,59 @@ def check_evidence(net: DiscreteNetwork, evidence: Evidence) -> dict[str, int | 
 
 def _batched(ev: Mapping[str, int | np.ndarray]) -> bool:
     return any(isinstance(s, np.ndarray) for s in ev.values())
+
+
+def requisite(
+    net: DiscreteNetwork,
+    target: str,
+    observed: Iterable[str],
+    intervention: str | None = None,
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The CPTs that P(target | observed) needs, and the observed names it
+    reads; both in network order, from names alone. The target is not
+    among the observed names.
+
+    A CPT is needed when its factor (observed family members fixed) joins
+    the target's connected part of the ancestral graph of target and
+    observed, with the arcs out of observed nodes cut, or when it is
+    ancestral and holds a structural zero. The intervention variable counts
+    as observed; the arcs into it are cut and its own CPT, uniform after
+    the surgery, is never needed. Any other factor is barren or only
+    rescales the rows, so the query built from the needed CPTs is exact; the
+    observed names outside their families can be left out of the evidence.
+    """
+    seen = set(observed)
+    if intervention is not None:
+        seen.add(intervention)
+    ancestral: set[str] = set()
+    stack = [target, *seen]
+    while stack:
+        name = stack.pop()
+        if name not in ancestral:
+            ancestral.add(name)
+            if name != intervention:
+                stack.extend(net.parents(name))
+    ancestral.discard(intervention)
+
+    # walk the free variables from the target: a free v sits in its own
+    # CPT's factor and in its ancestral children's
+    needed: set[str] = set()
+    free, stack = {target}, [target]
+    while stack:
+        v = stack.pop()
+        for name in (v, *net.children(v)):
+            if name in ancestral and name not in needed:
+                needed.add(name)
+                for m in (*net.parents(name), name):
+                    if m not in seen and m not in free:
+                        free.add(m)
+                        stack.append(m)
+    needed.update(n for n in ancestral - needed
+                  if np.count_nonzero(net.cpts[n].rows) < net.cpts[n].rows.size)
+
+    cpts = sorted(needed, key=net.index)
+    reads = {m for n in cpts for m in (*net.parents(n), n) if m in seen}
+    return tuple(cpts), tuple(sorted(reads, key=net.index))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +267,7 @@ def _eliminate_all(
     evidence: Mapping[str, int | np.ndarray] | np.ndarray,
     elimination_order: Sequence[str] | None = None,
     families: Sequence[tuple[int, ...]] | None = None,
+    cpts: Sequence[str] | None = None,
 ) -> tuple[np.ndarray | list[np.ndarray], np.ndarray, tuple[int, ...]]:
     """Batched VE; returns (P(kept | evidence), log P(evidence), kept vars).
 
@@ -213,6 +280,12 @@ def _eliminate_all(
     step renormalizes every row by its own sum, kept as mantissa and exponent
     so long chains cannot underflow. A row's bits depend on that row alone
     (ones multiply exactly); an impossible row gets zeros and -inf.
+
+    ``cpts`` names the CPTs to build, every one by default (log P then
+    covers only those); every kept variable's own CPT must be among them.
+    Only the variables the built factors mention are eliminated. An explicit
+    ``elimination_order`` must name every non-kept, non-evidence variable of
+    the network once, and is then cut down to those.
 
     Family mode (``families`` given; a code matrix, nothing kept) calibrates
     the elimination's clique tree and returns, in place of the table, one
@@ -233,7 +306,8 @@ def _eliminate_all(
         ev = {n: np.atleast_1d(np.asarray(s, dtype=np.intp)) for n, s in evidence.items()}
         batch = max((len(s) for s in ev.values()), default=1)
         indicators = []
-    factors = [_cpt_factor(net, net.cpts[v.name], ev) for v in net.variables] + indicators
+    names = net.names if cpts is None else cpts
+    factors = [_cpt_factor(net, net.cpts[n], ev) for n in names] + indicators
 
     scale, expo = np.ones(1), np.zeros(1, dtype=np.int64)
     live: list[_Factor] = []
@@ -243,19 +317,19 @@ def _eliminate_all(
         else:
             scale, expo = _fold(scale, expo, f.table)
 
-    evid_idx = {net.index(n) for n in ev}
-    to_eliminate = set(range(len(cards))) - keep - evid_idx
+    to_eliminate = {v for f in live for v in f.vars} - keep
 
     if elimination_order is not None:
         order = [net.index(n) for n in elimination_order]
-        if sorted(order) != sorted(to_eliminate):
+        if sorted(order) != sorted(set(range(len(cards))) - keep - {net.index(n) for n in ev}):
             raise ValueError("elimination_order must name each non-kept, non-evidence variable exactly once")
+        order = [v for v in order if v in to_eliminate]
     else:
         order = _min_degree_order([f.vars for f in live], to_eliminate)
 
     steps: list[tuple[_Factor, _Factor | None]] = []  # (product, message) per v
     for v in order:
-        # never empty: v's own CPT factor, or a product holding it, is live
+        # never empty: v is eliminated because a live factor mentions it
         group = [f for f in live if v in f.vars]
         live = [f for f in live if v not in f.vars]
         prod = group[0]
@@ -352,6 +426,29 @@ def _family_tables(
 # public queries
 # ---------------------------------------------------------------------------
 
+def _query(
+    net: DiscreteNetwork,
+    target: str,
+    ev: dict[str, int | np.ndarray],
+    intervention: str | None = None,
+    elimination_order: Sequence[str] | None = None,
+) -> Posterior:
+    """P(target | ev) on the query's requisite CPTs; ev has passed
+    check_evidence and holds the intervention's state when there is one."""
+    var = net.var(target)
+    if target in ev:
+        raise InvalidQuery(f"target {target!r} must not appear in evidence")
+    cpts, _ = requisite(net, target, ev, intervention)
+    probs, log_p, _ = _eliminate_all(net, {net.index(target)}, ev, elimination_order, cpts=cpts)
+    if _batched(ev):
+        probs[log_p == -math.inf] = math.nan
+    elif log_p[0] == -math.inf:
+        raise ZeroProbabilityEvidence(f"evidence has probability zero: {dict(ev)!r}")
+    else:
+        probs = probs[0]
+    return Posterior(target=target, states=var.states, probs=probs)
+
+
 def posterior(
     net: DiscreteNetwork,
     target: str,
@@ -363,21 +460,13 @@ def posterior(
     With array-valued evidence the result holds one row per batch entry,
     nan on rows whose evidence has probability zero. A scalar query raises
     ZeroProbabilityEvidence instead. UnknownVariable/UnknownState flag bad
-    references. The optional elimination_order is for tests of order
-    independence.
+    references; InvalidQuery an observed target. Only the requisite CPTs
+    are built. The optional elimination_order is for tests of order
+    independence: it names every non-target, non-evidence variable of the
+    network, and the variables outside the requisite CPTs are skipped.
     """
-    ev = check_evidence(net, evidence or {})
-    var = net.var(target)
-    if target in ev:
-        raise ValueError(f"target {target!r} must not appear in evidence")
-    probs, log_p, _ = _eliminate_all(net, {net.index(target)}, ev, elimination_order)
-    if _batched(ev):
-        probs[log_p == -math.inf] = math.nan
-    elif log_p[0] == -math.inf:
-        raise ZeroProbabilityEvidence(f"evidence has probability zero: {dict(ev)!r}")
-    else:
-        probs = probs[0]
-    return Posterior(target=target, states=var.states, probs=probs)
+    return _query(net, target, check_evidence(net, evidence or {}),
+                  elimination_order=elimination_order)
 
 
 def do_posterior(
@@ -388,21 +477,23 @@ def do_posterior(
 ) -> Posterior:
     """Exact P(target | do(X=x), evidence) via graph surgery.
 
-    Mutilates a copy of the network once (deletes arcs into X, uniform
-    prior on X) and conditions on X=x alongside the evidence. The state x
-    may be an array, one per batch row, like any evidence value; the result
-    is batched as in :func:`posterior`.
+    Conditions on X=x alongside the evidence with the arcs into X cut and
+    X's own CPT left out (uniform after the surgery, it only rescales); no
+    mutilated copy of the network is built. The state x may be an array,
+    one per batch row, like any evidence value; the result is batched as in
+    :func:`posterior`. InvalidQuery flags X as the target or evidence on X
+    that contradicts x.
     """
     x_name, x_state = intervention
-    x = check_evidence(net, {x_name: x_state})[x_name]
     if target == x_name:
-        raise ValueError("intervention variable cannot be the query target")
-    ev = check_evidence(net, evidence or {})
-    if x_name in ev and np.any(ev[x_name] != x):
-        raise ValueError(f"evidence contradicts intervention on {x_name!r}")
-    cut = mutilate(net, x_name)
-    ev[x_name] = x
-    return posterior(cut, target, ev)
+        raise InvalidQuery("intervention variable cannot be the query target")
+    given = dict(evidence or {})
+    seen_x = given.pop(x_name, None)
+    # the evidence and x are checked in one pass, an observed x on its own
+    ev = check_evidence(net, {**given, x_name: x_state})
+    if seen_x is not None and np.any(check_evidence(net, {x_name: seen_x})[x_name] != ev[x_name]):
+        raise InvalidQuery(f"evidence contradicts intervention on {x_name!r}")
+    return _query(net, target, ev, x_name)
 
 
 def joint_probability(net: DiscreteNetwork, assignment: Mapping[str, int]) -> float:
@@ -505,7 +596,7 @@ def enumerate_posterior(
     ev = check_evidence(net, evidence or {})
     var = net.var(target)
     if target in ev:
-        raise ValueError(f"target {target!r} must not appear in evidence")
+        raise InvalidQuery(f"target {target!r} must not appear in evidence")
     joint = dense_joint(net)
     for name, state in ev.items():
         joint = np.take(joint, state, axis=net.index(name))

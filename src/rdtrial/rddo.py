@@ -21,7 +21,7 @@ from collections import abc
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     TooFewRecords,
     required_file,
 )
-from .inference import do_posterior, posterior
+from .inference import do_posterior, posterior, requisite
 from .learning import stratified_split
 from .model import DiscreteNetwork, VariableDef, has_directed_path, slice_rank, unroll
 from .modelio import load_model
@@ -92,15 +92,28 @@ def _positive_state(out_var: VariableDef, positive_state: str | None) -> str:
     return out_var.states[-1] if positive_state is None else positive_state
 
 
-def _patterns_by_mask(codes: np.ndarray, names: Sequence[str]):
-    """Group the rows of a code matrix (-1 = missing) by observed set.
+def _patterns_by_mask(
+    codes: np.ndarray,
+    names: Sequence[str],
+    reads: Callable[[list[str]], Iterable[str]],
+):
+    """Group the rows of a code matrix (-1 = missing) by requisite observed set.
 
-    Yields (rows, observed names, distinct patterns, pattern of each row):
-    the patterns are the distinct code rows over the observed columns, so
-    one batched query per mask answers every row of it. Masks and patterns
-    come in the lexicographic order of np.unique(axis=0), rows ascending.
+    ``reads`` maps a mask's observed names to those its query depends on
+    (inference.requisite); called once per distinct mask, it drops the other
+    cells, so masks that differ only there share one batched query. Yields
+    (rows, read names, distinct patterns, pattern of each row): the patterns
+    are the distinct code rows over the read columns, so one query per
+    group answers every row of it. Groups and patterns come in the
+    lexicographic order of np.unique(axis=0), rows ascending.
     """
     masks, mask_of = unique_rows(codes >= 0)
+    needed = np.zeros(masks.shape, dtype=bool)
+    for mask, row in zip(masks, needed):
+        read = set(reads([names[j] for j in np.flatnonzero(mask)]))
+        row[:] = [n in read for n in names]
+    masks, merged = unique_rows(needed)
+    mask_of = merged[mask_of]
     groups = np.split(np.argsort(mask_of, kind="stable"), np.cumsum(np.bincount(mask_of))[:-1])
     for mask, rows in zip(masks, groups):
         cols = np.flatnonzero(mask)
@@ -136,11 +149,13 @@ def score_cohort(
     plus non-outcome observations at slice t (statics and entry values
     count as baseline). Records with a missing outcome cell, or whose
     evidence has probability zero under the model, are excluded with their
-    ids recorded. Records are grouped by their observed set: one batched
-    posterior call per missingness mask scores every distinct evidence
-    pattern under it, so cost scales with pattern diversity rather than
-    cohort size. Records with the same pattern share one read-only evidence
-    mapping. Records keep cohort order.
+    ids recorded. The fold is grouped once into its distinct rows; records
+    with the same row share one score and one read-only evidence mapping
+    of every observed cell. The rows are grouped by the observed cells the
+    outcome's query depends on (inference.requisite): one batched posterior
+    call per group scores every distinct pattern in it, so cost scales with
+    the diversity of the evidence that matters rather than cohort size.
+    Records keep cohort order.
     """
     if outcome is None:
         outcome = _declared_outcome(net, t)
@@ -159,14 +174,18 @@ def score_cohort(
 
     codes = np.array([enc[c] for c in ev_cols], dtype=np.int64).reshape(len(ev_cols), len(cohort)).T
     labeled = np.flatnonzero(out_codes >= 0)
-    scores = np.full(len(cohort), np.nan)
+    distinct, of = unique_rows(codes[labeled])
     pattern = np.full(len(cohort), -1)
-    evidence: list[Mapping[str, int]] = []
-    for rows, names, pats, pat_of in _patterns_by_mask(codes[labeled], ev_cols):
+    pattern[labeled] = of
+    distinct_scores = np.empty(len(distinct))
+    for rows, names, pats, pat_of in _patterns_by_mask(
+            distinct, ev_cols, lambda observed: requisite(net, outcome, observed)[1]):
         post = posterior(net, outcome, {c: pats[:, j] for j, c in enumerate(names)})
-        scores[labeled[rows]] = np.broadcast_to(post.probs[..., pos_idx], len(pats))[pat_of]
-        pattern[labeled[rows]] = len(evidence) + pat_of
-        evidence += [MappingProxyType(dict(zip(names, row))) for row in pats.tolist()]
+        distinct_scores[rows] = np.broadcast_to(post.probs[..., pos_idx], len(pats))[pat_of]
+    scores = np.full(len(cohort), np.nan)
+    scores[labeled] = distinct_scores[of]
+    evidence = [MappingProxyType({c: v for c, v in zip(ev_cols, row) if v >= 0})
+                for row in distinct.tolist()]
 
     impossible = np.isnan(scores) & (out_codes >= 0)
     kept = np.flatnonzero(~np.isnan(scores))
@@ -390,9 +409,10 @@ def estimate_effects(
     query evidence is impossible are counted as failures for that category,
     so n + failures equals the window size for every category.
 
-    Records are grouped by the observed set of Z: per missingness mask,
-    every (distinct pattern, category) pair is one row of a single batched
-    query, so causal mode mutilates the network once per mask.
+    Records are grouped by the cells of Z the query depends on
+    (inference.requisite, the variable observed or, in causal mode,
+    intervened on): per group, every (distinct pattern, category) pair is
+    one row of a single batched query.
     """
     if mode not in ("causal", "associational"):
         raise ValueError(f"mode must be 'causal' or 'associational', got {mode!r}")
@@ -410,14 +430,17 @@ def estimate_effects(
     excluded = set(net.outcomes.values()) | {outcome, variable}
 
     ordered = sorted(records, key=lambda r: r.record_id)
-    names = [
-        name for name in sorted({n for rec in ordered for n in rec.evidence}, key=net.index)
-        if name not in excluded and slice_rank(name) <= s
-    ]
+    # a name no record observes is a column of -1, part of no mask
+    names = [name for name in net.names if name not in excluded and slice_rank(name) <= s]
     codes = _evidence_codes(ordered, names)
+    do = variable if mode == "causal" else None
+
+    def reads(observed: list[str]) -> tuple[str, ...]:
+        return requisite(net, outcome, [*observed, variable], do)[1]
+
     # per record and category; nan where the query evidence is impossible
     values = np.empty((len(ordered), var.card))
-    for rows, observed, pats, pat_of in _patterns_by_mask(codes, names):
+    for rows, observed, pats, pat_of in _patterns_by_mask(codes, names, reads):
         # one batch row per (pattern, category), categories varying fastest
         ev = {name: np.repeat(pats[:, j], var.card) for j, name in enumerate(observed)}
         x = np.tile(np.arange(var.card), len(pats))

@@ -274,6 +274,20 @@ def test_infer_posterior_and_do(tmp_path, capsys):
     assert doc["probs"]["1"] == pytest.approx(0.50, abs=1e-12)
 
 
+@pytest.mark.parametrize("query", [
+    ["--target", "y", "--evidence", "y=1"],
+    ["--target", "x", "--do", "x=1"],
+    ["--target", "y", "--do", "x=1", "--evidence", "x=0"],
+])
+def test_infer_invalid_query_exits_1(tmp_path, capsys, query):
+    # an observed or intervened target, or evidence against the intervention
+    model_path = tmp_path / "triple.json"
+    save_model(confounded_triple(0.12), model_path)
+    assert dispatch(["infer", "--model", str(model_path), *query]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_infer_unknown_state_exits_2(tmp_path, capsys):
     model_path = tmp_path / "triple.json"
     save_model(confounded_triple(0.12), model_path)

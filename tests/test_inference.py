@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rdtrial import inference
 from rdtrial.errors import (
     IncompleteAssignment,
+    InvalidQuery,
     TooLargeForEnumeration,
     UnknownState,
     UnknownVariable,
@@ -24,9 +25,10 @@ from rdtrial.inference import (
     joint_probability,
     log_evidence,
     posterior,
+    requisite,
     row_log_likelihoods,
 )
-from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
+from rdtrial.model import Cpt, DiscreteNetwork, VariableDef, mutilate
 from rdtrial.synth import confounded_triple
 
 from helpers import (
@@ -504,6 +506,167 @@ def test_family_mode_argument_errors():
         inference._eliminate_all(net, {0}, codes, families=[(0,)])
     with pytest.raises(ValueError, match="family mode"):
         inference._eliminate_all(net, set(), {"a": 0}, families=[(0,)])
+
+
+# ---------------------------------------------------------------------------
+# requisite networks: the public queries build only the CPTs they need
+# ---------------------------------------------------------------------------
+
+def _copy_net():
+    """a -> b -> c where b is a deterministic copy of a: a != b is impossible."""
+    return DiscreteNetwork(
+        variables=[VariableDef(name=n, states=("0", "1")) for n in "abc"],
+        arcs=[("a", "b"), ("b", "c")],
+        cpts={
+            "a": Cpt("a", (), np.array([[0.5, 0.5]])),
+            "b": Cpt("b", ("a",), np.array([[1.0, 0.0], [0.0, 1.0]])),
+            "c": Cpt("c", ("b",), np.array([[0.8, 0.2], [0.3, 0.7]])),
+        },
+    )
+
+
+def _every_cpt(net, target, evidence, x=None):
+    """P(target | evidence) built from every CPT (of the mutilated network
+    under do(x)); nan rows where the evidence is impossible."""
+    if x is not None:
+        net = mutilate(net, x)
+    probs, log_p, _ = inference._eliminate_all(net, {net.index(target)}, evidence)
+    probs[log_p == -math.inf] = math.nan
+    return probs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["plain", "zeros", "forest"]))
+def test_pruned_queries_equal_every_cpt_the_dense_joint_and_truncation(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "forest":
+        net = with_structural_zeros(disjoint_union(
+            random_network(rng, min_nodes=2, max_nodes=4),
+            random_network(rng, min_nodes=1, max_nodes=4)), rng)
+    else:
+        net = random_network(rng, min_nodes=3, max_nodes=7)
+        if kind == "zeros":
+            net = with_structural_zeros(net, rng)
+    target, x = (net.names[int(i)] for i in rng.choice(len(net.names), 2, replace=False))
+    observed = [n for n in net.names if n not in (target, x) and rng.random() < 0.5]
+    rows = int(rng.integers(1, 9))
+    ev = {n: rng.integers(0, net.card(n), size=rows) for n in observed}
+    xs = rng.integers(0, net.card(x), size=rows)
+    shape = (rows, net.card(target))
+
+    post = np.broadcast_to(posterior(net, target, ev).probs, shape)
+    do = do_posterior(net, target, (x, xs), ev).probs
+    np.testing.assert_allclose(post, np.broadcast_to(_every_cpt(net, target, ev), shape),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(do, _every_cpt(net, target, {**ev, x: xs}, x), rtol=0, atol=1e-12)
+    for r in range(rows):
+        row = {n: int(v[r]) for n, v in ev.items()}
+        np.testing.assert_allclose(post[r], _oracle(net, target, row)[0], rtol=0, atol=1e-12)
+        truth, _ = _oracle(net, target, {**row, x: int(xs[r])}, skip=x)
+        np.testing.assert_allclose(do[r], truth, rtol=0, atol=1e-12)
+
+    # the observed names outside the requisite CPTs change no bit, so the
+    # pipeline may drop them before it groups its rows
+    cpts, reads = requisite(net, target, observed)
+    assert target in cpts and set(reads) <= set(observed)
+    same = posterior(net, target, {n: ev[n] for n in reads}).probs
+    assert np.array_equal(np.broadcast_to(same, shape), post, equal_nan=True)
+    cpts, reads = requisite(net, target, observed, x)
+    assert x not in cpts and set(reads) <= {*observed, x}
+    same = do_posterior(net, target, (x, xs), {n: ev[n] for n in reads if n != x}).probs
+    assert np.array_equal(same, do, equal_nan=True)
+
+
+def test_impossible_evidence_in_a_disconnected_part_still_reads_impossible():
+    # the target c sits in the chain; w0 = 0, w1 = 1 is impossible in the
+    # copy network next to it, which shares no variable with the target
+    net = disjoint_union(chain_network(), _copy_net())
+    assert "w1" in requisite(net, "c", ["w0", "w1"])[0]
+    with pytest.raises(ZeroProbabilityEvidence):
+        posterior(net, "c", {"w0": 0, "w1": 1})
+    with pytest.raises(ZeroProbabilityEvidence):
+        do_posterior(net, "c", ("a", 1), {"w0": 0, "w1": 1})
+    w0, w1 = np.array([0, 0, 1]), np.array([1, 0, 1])
+    post = posterior(net, "c", {"w0": w0, "w1": w1}).probs
+    assert np.isnan(post[0]).all()
+    prior = posterior(net, "c").probs
+    assert np.array_equal(post[1], prior) and np.array_equal(post[2], prior)
+    do = do_posterior(net, "c", ("a", np.array([1, 1, 0])), {"w0": w0, "w1": w1}).probs
+    assert np.isnan(do[0]).all()
+    assert np.array_equal(do[1], posterior(net, "c", {"a": 1}).probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_target_d_separated_from_all_evidence_returns_its_prior_marginal(seed):
+    rng = np.random.default_rng(seed)
+    part = random_network(rng, min_nodes=1, max_nodes=4)
+    net = disjoint_union(part, random_network(rng, min_nodes=1, max_nodes=4))
+    target = part.names[int(rng.integers(0, len(part.names)))]
+    # evidence only in the other part: strictly positive, so every row is possible
+    others = [n for n in net.names if n.startswith("w")]
+    ev = {n: rng.integers(0, net.card(n), size=3) for n in others if rng.random() < 0.6}
+    cpts, reads = requisite(net, target, ev)
+    assert reads == () and all(not n.startswith("w") for n in cpts)
+    prior = dense_joint(net).sum(axis=tuple(i for i in range(len(net.names))
+                                            if i != net.index(target)))
+    probs = posterior(net, target, ev).probs
+    np.testing.assert_allclose(probs, np.broadcast_to(prior, probs.shape), rtol=0, atol=1e-12)
+    assert (probs == posterior(net, target).probs).all()
+
+
+def test_requisite_cuts_barren_nodes_and_the_arcs_out_of_evidence():
+    # a -> c <- b: c is barren for P(a | b), so a is independent of b
+    net = DiscreteNetwork(
+        variables=[VariableDef(name=n, states=("0", "1")) for n in "abc"],
+        arcs=[("a", "c"), ("b", "c")],
+        cpts={
+            "a": Cpt("a", (), np.array([[0.6, 0.4]])),
+            "b": Cpt("b", (), np.array([[0.1, 0.9]])),
+            "c": Cpt("c", ("a", "b"), np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8], [0.3, 0.7]])),
+        },
+    )
+    assert requisite(net, "a", ["b"]) == (("a",), ())
+    assert posterior(net, "a", {"b": 1}).probs.tolist() == [0.6, 0.4]
+    # observing c joins them (explaining away); b's prior is then needed
+    assert requisite(net, "a", ["b", "c"]) == (("a", "c"), ("b", "c"))
+    # on the chain, observing b blocks a: c needs only its own CPT
+    chain = chain_network()
+    assert requisite(chain, "c", ["a", "b"]) == (("c",), ("b",))
+    assert requisite(chain, "c", ["a"], "b") == (("c",), ("b",))
+    assert requisite(chain, "a", ["c"], "b") == (("a",), ())
+
+
+def test_requisite_keeps_ancestral_cpts_with_structural_zeros():
+    # w1 copies w0; the query on c shares no variable with them
+    net = disjoint_union(chain_network(), _copy_net())
+    assert requisite(net, "c", []) == (("a", "b", "c"), ())
+    # w1's CPT holds zeros, so it stays in and both its cells are read; w0's
+    # CPT is strictly positive and w2 is barren, so they stay out
+    assert requisite(net, "c", ["w0", "w1"]) == (("a", "b", "c", "w1"), ("w0", "w1"))
+    assert requisite(net, "c", ["w1"]) == (("a", "b", "c", "w1"), ("w1",))
+
+
+def test_wrong_elimination_order_raises_before_pruning():
+    # P(a) needs only a's CPT, but the order must still name b and c
+    net = chain_network()
+    assert posterior(net, "a", elimination_order=["c", "b"]).probs.tolist() == [0.7, 0.3]
+    for bad in ([], ["b"], ["b", "c", "c"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="elimination_order"):
+            posterior(net, "a", elimination_order=bad)
+    with pytest.raises(ValueError, match="elimination_order"):
+        posterior(net, "a", {"b": 0}, elimination_order=["b", "c"])
+
+
+def test_invalid_queries_raise_a_typed_value_error():
+    net = chain_network()
+    for query in (lambda: posterior(net, "a", {"a": 1}),
+                  lambda: do_posterior(net, "b", ("b", 1)),
+                  lambda: do_posterior(net, "c", ("a", 0), {"a": 1}),
+                  lambda: enumerate_posterior(net, "a", {"a": 1})):
+        with pytest.raises(InvalidQuery):
+            query()
+    assert issubclass(InvalidQuery, ValueError)
 
 
 # ---------------------------------------------------------------------------

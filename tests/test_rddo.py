@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdtrial import rddo
 from rdtrial.cohort import Cohort, write_cohort_csv
 from rdtrial.errors import (
     ConfigError,
@@ -35,6 +36,7 @@ from rdtrial.synth import confounded_triple, make_confounded_scenario, sample_co
 
 from helpers import (
     chain_network,
+    disjoint_union,
     random_network,
     reference_chi2_homogeneity,
     with_structural_zeros,
@@ -124,6 +126,35 @@ def test_score_cohort_records_share_one_read_only_mapping_per_pattern():
     assert first == {"z": 1, "x": 1} and second == {"z": 0}
     with pytest.raises(TypeError):
         first["z"] = 0
+
+
+def _counting(monkeypatch, name):
+    """Wrap rdtrial.rddo's binding of an inference query; returns the list
+    of evidence names of each call (rddo passes the evidence last)."""
+    calls = []
+    query = getattr(rddo, name)
+
+    def counted(net, target, *args):
+        calls.append(sorted(args[-1]))
+        return query(net, target, *args)
+
+    monkeypatch.setattr(rddo, name, counted)
+    return calls
+
+
+def test_score_cohort_groups_records_by_requisite_evidence(monkeypatch):
+    # on a -> b -> c, an observed b blocks a: the masks {a, b} and {b}
+    # differ only in a cell the query on c ignores, so one call scores both
+    net = chain_network()
+    rows = [("0", "1", "1"), ("1", "1", "0"), (None, "1", "1"), ("1", "0", "0"), (None, "0", "1")]
+    calls = _counting(monkeypatch, "posterior")
+    result = score_cohort(net, Cohort(columns=("a", "b", "c"), rows=rows), t=0, outcome="c")
+    assert calls == [["b"]]
+    for rec, row in zip(result.records, rows):
+        b = int(row[1])
+        assert rec.score == posterior(net, "c", {"b": b})[1]
+        # the records keep every observed cell
+        assert rec.evidence == ({"b": b} if row[0] is None else {"a": int(row[0]), "b": b})
 
 
 def test_score_cohort_threshold_distance():
@@ -641,6 +672,46 @@ def test_estimate_effects_matches_a_per_record_reference_loop(seed):
                 assert (cat.mean, cat.std) == (float(arr.mean()), float(arr.std()))
             else:
                 assert np.isnan(cat.mean) and np.isnan(cat.std)
+
+
+@pytest.mark.parametrize("mode, query", [("causal", "do_posterior"),
+                                         ("associational", "posterior")])
+def test_estimate_effects_groups_records_by_requisite_evidence(monkeypatch, mode, query):
+    # on a -> b -> c, both do(b = x) and b = x cut a off from c: records
+    # that differ only in a share one query
+    net = chain_network()
+    records = [ScoredRecord(record_id=i, evidence=ev, label=False, score=0.5)
+               for i, ev in enumerate([{"a": 0}, {"a": 1}, {}, {"a": 1}])]
+    calls = _counting(monkeypatch, query)
+    table = estimate_effects(net, records, "b", "c", mode, t=1)
+    assert len(calls) == 1 and "a" not in calls[0]
+    for x, cat in enumerate(table.categories):
+        assert cat.n == len(records) and cat.failures == 0
+        assert cat.values.tolist() == [posterior(net, "c", {"b": x})[1]] * len(records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_estimate_effects_accounts_for_every_record_on_structural_zeros(seed):
+    # pruning drops CPTs, never a row: n + failures is the window size, and
+    # every failure is a record whose scalar query is impossible
+    rng = np.random.default_rng(seed)
+    net = with_structural_zeros(disjoint_union(random_network(rng, min_nodes=2, max_nodes=5),
+                                               random_network(rng, min_nodes=1, max_nodes=3)), rng)
+    variable, outcome = (net.names[int(i)] for i in rng.choice(len(net.names), 2, replace=False))
+    codes = _random_rows(rng, net, net.names, int(rng.integers(1, 25)))
+    records = [
+        ScoredRecord(record_id=i, evidence={c: s for c, s in zip(net.names, row) if s >= 0},
+                     label=False, score=0.5)
+        for i, row in enumerate(codes.tolist())
+    ]
+    modes = ["associational"] + (["causal"] if has_directed_path(net, variable, outcome) else [])
+    for mode in modes:
+        table = estimate_effects(net, records, variable, outcome, mode, t=1)
+        want = _reference_effects(net, records, variable, outcome, mode)
+        for cat, vals in zip(table.categories, want):
+            assert cat.n + cat.failures == len(records)
+            assert cat.failures == vals.count(None)
 
 
 def test_estimate_effects_rejects_bad_queries():
