@@ -250,6 +250,8 @@ def _cmd_rddo(args) -> int:
     if args.out:
         overrides["out_dir"] = str(Path(args.out).resolve())
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         overrides["seed"] = args.seed
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
@@ -522,8 +524,8 @@ def _cmd_synth(args) -> int:
     try:
         spec = make_confounded_scenario(
             bias=float(params.get("bias", 0.12)),
-            n=int(params.get("n", 10_000)),
-            seed=int(params.get("seed", 0)),
+            n=params.get("n", 10_000),
+            seed=params.get("seed", 0),
             injector_strength=float(params.get("injector_strength", 0.0)),
             injector_offset=float(params.get("injector_offset", 0.0)),
             mcar=params.get("mcar") or {},

@@ -649,6 +649,10 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
         if abs(sum(split) - 1.0) > 1e-9 or any(f <= 0 for f in split):
             raise ConfigError(f"split fractions must be positive and sum to 1, got {split}")
 
+    seed = coerce("seed", int, doc.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
     outcome_base = None if doc.get("outcome") is None else str(doc["outcome"])
     positive_state = None if doc.get("positive_state") is None else str(doc["positive_state"])
 
@@ -668,7 +672,7 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
         k_max=k_max,
         thresholds=thresholds,
         split=split,
-        seed=coerce("seed", int, doc.get("seed", 0)),
+        seed=seed,
     )
 
 

@@ -12,16 +12,25 @@ randomization gate, and slice-1 outcome parents that spread the risk scores.
 factorization evaluated by full enumeration. It never touches the
 variable-elimination engine, so agreement between the two is evidence, not
 circularity.
+
+:func:`sample_cohort` gives record ``rid`` its own random streams,
+``np.random.default_rng((seed, rid, stream))``: stream 0 for node values,
+stream 1 for the covariate-imbalance injector, stream 2 for MCAR masking. A
+record's cells therefore depend only on the spec and its id, never on n.
+:func:`_record_uniforms` reproduces those generators (SeedSequence, then
+PCG64) for every record at once, bit for bit.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .cohort import Cohort
+from .cohort import Cohort, unique_rows
 from .errors import TooLargeForEnumeration, UnknownState
 from .inference import dense_joint, posterior
 from .model import Cpt, DiscreteNetwork, VariableDef, iter_parent_configs, slice_rank
@@ -154,8 +163,16 @@ class ScenarioSpec:
     certificate: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in ("n", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.n > 1 << 32:  # record ids are single 32-bit seed words
+            raise ValueError(f"n must be <= 2**32, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name, rate in self.mcar.items():
             self.network.var(name)
             if not 0 <= rate < 1:
@@ -264,85 +281,213 @@ def make_confounded_scenario(
 
 
 # ---------------------------------------------------------------------------
+# per-record random streams
+# ---------------------------------------------------------------------------
+
+# SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_LO32 = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+# PCG64's 128-bit LCG multiplier as (high, low) uint64 limbs, and the two
+# 32-bit halves of the low limb
+_MULT_HI, _MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_MULT_LO_HALVES = (_MULT_LO & _LO32, _MULT_LO >> _U32)
+_BLOCK = 1 << 15  # records per pass, so the limb arrays stay in cache
+
+
+def _words32(x: int) -> list[np.ndarray]:
+    """Little-endian 32-bit words of x >= 0 (0 is one zero word), each a
+    length-1 uint32 array: how SeedSequence reads an int."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return [np.array([w], dtype=np.uint32) for w in words]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's ``hashmix`` on uint32 arrays, with its running
+    constant: xor it in, advance it by ``mult``, multiply, fold the high half."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_states(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` row-wise, for
+    entropy words given as broadcasting uint32 arrays."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+    return [lo | (hi << _U32) for lo, hi in zip(halves[::2], halves[1::2])]
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's state * multiplier + inc (mod 2**128) on (high, low) uint64
+    limbs. uint64 products keep only their low 64 bits, so the high limb of
+    lo times the multiplier's low limb is built from 32-bit halves."""
+    b0, b1 = _MULT_LO_HALVES
+    a0, a1 = lo & _LO32, lo >> _U32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> _U32)
+    cross = (mid & _LO32) + a0 * b1
+    carry = a1 * b1 + (mid >> _U32) + (cross >> _U32)
+    prod_lo = lo * _MULT_LO
+    out_lo = prod_lo + inc_lo
+    out_hi = carry + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (out_lo < prod_lo)
+    return out_hi, out_lo
+
+
+def _record_uniforms(seed: int, rids: np.ndarray, stream: int, k: int) -> np.ndarray:
+    """(len(rids), k) uniforms whose row i is, bit for bit,
+    ``np.random.default_rng((seed, rids[i], stream)).random(k)``.
+
+    That generator is PCG64 seeded through SeedSequence from the 32-bit words
+    of seed, record id and stream. Both are integer hashes and recurrences, so
+    they run here for a block of records at once: the SeedSequence pool,
+    ``pcg_setseq_128_srandom_r``'s seeding, then k XSL-RR outputs, each
+    ``(x >> 11) * 2**-53``. Record ids must lie in [0, 2**32), so each is one
+    entropy word.
+    """
+    seed, stream = operator.index(seed), operator.index(stream)
+    if seed < 0 or stream < 0:
+        raise ValueError(f"seed and stream must be >= 0, got {seed} and {stream}")
+    rids = np.asarray(rids, dtype=np.int64)
+    if rids.size and not (0 <= rids.min() and rids.max() <= _MASK32):
+        raise ValueError("record ids must lie in [0, 2**32)")
+    out = np.empty((k, len(rids))).T  # column j holds every record's j-th draw
+    head, tail = _words32(seed), _words32(stream)
+    for start in range(0, len(rids), _BLOCK):
+        block = rids[start:start + _BLOCK]
+        s_hi, s_lo, q_hi, q_lo = _seed_states([*head, block.astype(np.uint32), *tail])
+        inc_hi = (q_hi << _U1) | (q_lo >> _U63)
+        inc_lo = (q_lo << _U1) | _U1
+        # step from state 0 (leaves inc), add the seed state, step again
+        lo = inc_lo + s_lo
+        hi = inc_hi + s_hi + (lo < s_lo)
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        for j in range(k):
+            hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+            rot = hi >> _U58
+            x = hi ^ lo
+            x = (x >> rot) | (x << ((_U64 - rot) & _U63))
+            out[start:start + len(block), j] = (x >> _U11) * 2.0 ** -53
+    return out
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
-def _score_pattern(spec: ScenarioSpec, values: dict[str, int]) -> tuple[tuple[str, int], ...]:
-    """Evidence pattern used for the injector's score: exported observations
-    at slices before the outcome, plus non-outcome nodes of its slice."""
+def _score_names(spec: ScenarioSpec) -> list[str]:
+    """Evidence the injector's score reads, sorted by name: exported nodes at
+    slices before the outcome, plus the non-outcome nodes of its slice."""
     t_out = slice_rank(spec.outcome)
     latent = set(spec.latent)
-    return tuple(sorted(
-        (name, state) for name, state in values.items()
+    return sorted(
+        name for name in spec.network.names
         if name not in latent and name != spec.outcome and slice_rank(name) <= t_out
-    ))
+    )
 
 
 def sample_cohort(spec: ScenarioSpec) -> Cohort:
-    """Ancestral sampling with per-record seeds.
+    """Ancestral sampling from per-record random streams.
 
-    Each record draws from rng(seed, record id), so any subset of records
-    can be regenerated independently and the cohort is byte-identical for a
-    fixed spec. Steps per record: sample every variable in topological
-    order, optionally re-draw the injector covariate as a function of the
-    record's signed score distance, then apply MCAR masking. Latent
-    variables are sampled (they drive their children) but never exported.
+    Record ``rid`` draws only from ``np.random.default_rng((seed, rid,
+    stream))``, so any subset of records can be regenerated independently and
+    the cohort is byte-identical for a fixed spec. The streams:
+
+    * stream 0, node values: one uniform per node in topological order. The
+      node takes the state that ``searchsorted(side="right")`` gives for that
+      uniform in its CPT row's cumulative sums, clamped to the last state (a
+      row may sum to 1 - ``ROW_SUM_TOL``).
+    * stream 1, the injector: when ``injector_strength`` is nonzero, one
+      uniform re-draws the injector covariate with a probability that leans
+      with the record's distance from the reference threshold.
+    * stream 2, MCAR: one uniform per ``mcar`` entry with a positive rate, in
+      the mapping's order; below the rate, the cell is missing.
+
+    :func:`_record_uniforms` draws a stream for every record at once, and
+    each node is sampled for the whole column. Latent variables are sampled
+    (they drive their children) but never exported.
     """
     net = spec.network
+    n = spec.n
+    rids = np.arange(n, dtype=np.int64)
     topo = net.topological_order()
-    order_cpt = [(name, net.cpts[name]) for name in topo]
-    cum = {name: np.cumsum(cpt.rows, axis=1) for name, cpt in order_cpt}
-    cards = {name: net.card(name) for name in net.names}
+    inject = spec.injector_covariate if spec.injector_strength != 0.0 else None
+    if inject is not None and net.card(inject) != 2:
+        raise ValueError("injector covariate must be binary")
+
+    u = _record_uniforms(spec.seed, rids, 0, len(topo))
+    codes: dict[str, np.ndarray] = {}
+    for j, name in enumerate(topo):
+        cpt = net.cpts[name]
+        cfg = 0
+        for p in cpt.parents:
+            cfg = cfg * net.card(p) + codes[p]
+        cum = np.cumsum(cpt.rows, axis=1)
+        # count the cumulative sums <= u; leaving out the last one clamps a
+        # uniform at or above it to the last state
+        state = np.zeros(n, dtype=np.intp)
+        for c in range(cum.shape[1] - 1):
+            state += cum[cfg, c] <= u[:, j]
+        codes[name] = state
+    del u
+
+    if inject is not None:
+        names = _score_names(spec)
+        pattern_codes = np.array([codes[name] for name in names], dtype=np.intp)
+        patterns, which = unique_rows(pattern_codes.reshape(len(names), n).T)
+        pos_idx = net.state_index(spec.outcome, spec.positive_state)
+        scores = np.array([
+            posterior(net, spec.outcome, dict(zip(names, map(int, row))))[pos_idx]
+            for row in patterns
+        ])
+        # imbalance grows with distance from the threshold, flat inside the
+        # offset; near-threshold records stay balanced
+        dist = np.abs(scores - spec.reference_threshold)
+        lean = spec.injector_strength * np.maximum(0.0, dist - spec.injector_offset)
+        p_pos = np.minimum(0.99, np.maximum(0.01, 0.5 + lean))
+        u_inj = _record_uniforms(spec.seed, rids, 1, 1)[:, 0]
+        codes[inject] = (u_inj < p_pos[which]).astype(np.intp)
+
+    mcar = [(name, rate) for name, rate in spec.mcar.items() if rate > 0.0]
+    if mcar:
+        u_mask = _record_uniforms(spec.seed, rids, 2, len(mcar))
+        for j, (name, rate) in enumerate(mcar):
+            codes[name] = np.where(u_mask[:, j] < rate, -1, codes[name])
 
     latent = set(spec.latent)
+    cells = []
+    for var in net.variables:
+        if var.name not in latent:
+            labels = np.array([*var.states, None], dtype=object)  # -1 picks None
+            cells.append(labels[codes.pop(var.name)].tolist())
     columns = tuple(v.name for v in net.variables if v.name not in latent)
-    mcar = [(name, rate) for name, rate in spec.mcar.items() if rate > 0.0]
-
-    inject = spec.injector_covariate if spec.injector_strength != 0.0 else None
-    if inject is not None and cards[inject] != 2:
-        raise ValueError("injector covariate must be binary")
-    score_cache: dict[tuple[tuple[str, int], ...], float] = {}
-    pos_idx = net.state_index(spec.outcome, spec.positive_state)
-
-    rows: list[tuple[str | None, ...]] = []
-    for rid in range(spec.n):
-        rng = np.random.default_rng((spec.seed, rid, 0))
-        values: dict[str, int] = {}
-        for name, cpt in order_cpt:
-            cfg = 0
-            for p in cpt.parents:
-                cfg = cfg * cards[p] + values[p]
-            u = rng.random()
-            values[name] = int(np.searchsorted(cum[name][cfg], u, side="right"))
-
-        if inject is not None:
-            pattern = _score_pattern(spec, values)
-            score = score_cache.get(pattern)
-            if score is None:
-                score = posterior(net, spec.outcome, dict(pattern))[pos_idx]
-                score_cache[pattern] = score
-            # imbalance grows with distance from the threshold, flat inside
-            # the offset; near-threshold records stay balanced
-            dist = abs(score - spec.reference_threshold)
-            lean = spec.injector_strength * max(0.0, dist - spec.injector_offset)
-            p_pos = min(0.99, max(0.01, 0.5 + lean))
-            rng_inj = np.random.default_rng((spec.seed, rid, 1))
-            values[inject] = int(rng_inj.random() < p_pos)
-
-        if mcar:
-            rng_mask = np.random.default_rng((spec.seed, rid, 2))
-            masked = {name for name, rate in mcar if rng_mask.random() < rate}
-        else:
-            masked = ()
-
-        row = []
-        for name in columns:
-            if name in masked:
-                row.append(None)
-            else:
-                row.append(net.var(name).states[values[name]])
-        rows.append(tuple(row))
-
+    rows = list(zip(*cells)) if cells else [()] * n
     return Cohort(columns=columns, rows=rows)
 
 

@@ -5,9 +5,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
+from rdtrial.cohort import Cohort
 from rdtrial.errors import DegenerateTable
-from rdtrial.model import Cpt, DbnTemplate, DiscreteNetwork, VariableDef, unroll
+from rdtrial.inference import posterior
+from rdtrial.model import Cpt, DbnTemplate, DiscreteNetwork, VariableDef, slice_rank, unroll
 from rdtrial.stats import EXPECTED_MIN, TestResult
+from rdtrial.synth import ScenarioSpec
 
 # Keep the dense joint small enough that the enumeration oracle stays fast;
 # node count and cardinality still span the full supported range.
@@ -199,3 +202,71 @@ def reference_chi2_homogeneity(left: np.ndarray, right: np.ndarray) -> TestResul
     dof = int(left.size - 1)
     p = float(_chi2_dist.sf(stat, dof))
     return TestResult(statistic=stat, p_value=p, dof=dof)
+
+
+def reference_sample_cohort(spec: ScenarioSpec) -> Cohort:
+    """Reference oracle: ancestral sampling one record at a time, coded scalar.
+
+    An independent check on the column-wise ``rdtrial.synth.sample_cohort``.
+    Each record builds its own ``np.random.default_rng((seed, rid, stream))``
+    per stream: stream 0 draws one uniform per node in topological order and
+    picks the state by ``searchsorted(side="right")`` in the CPT row's
+    cumulative sums; stream 1 re-draws the injector covariate with a
+    probability that leans with the record's score distance (one posterior
+    per distinct score pattern); stream 2 draws one uniform per positive MCAR
+    rate. Latent variables are sampled but not exported.
+    """
+    net = spec.network
+    topo = net.topological_order()
+    order_cpt = [(name, net.cpts[name]) for name in topo]
+    cum = {name: np.cumsum(cpt.rows, axis=1) for name, cpt in order_cpt}
+    cards = {name: net.card(name) for name in net.names}
+
+    latent = set(spec.latent)
+    columns = tuple(v.name for v in net.variables if v.name not in latent)
+    mcar = [(name, rate) for name, rate in spec.mcar.items() if rate > 0.0]
+    t_out = slice_rank(spec.outcome)
+
+    inject = spec.injector_covariate if spec.injector_strength != 0.0 else None
+    if inject is not None and cards[inject] != 2:
+        raise ValueError("injector covariate must be binary")
+    score_cache: dict[tuple[tuple[str, int], ...], float] = {}
+    pos_idx = net.state_index(spec.outcome, spec.positive_state)
+
+    rows: list[tuple[str | None, ...]] = []
+    for rid in range(spec.n):
+        rng = np.random.default_rng((spec.seed, rid, 0))
+        values: dict[str, int] = {}
+        for name, cpt in order_cpt:
+            cfg = 0
+            for p in cpt.parents:
+                cfg = cfg * cards[p] + values[p]
+            u = rng.random()
+            values[name] = int(np.searchsorted(cum[name][cfg], u, side="right"))
+
+        if inject is not None:
+            pattern = tuple(sorted(
+                (name, state) for name, state in values.items()
+                if name not in latent and name != spec.outcome and slice_rank(name) <= t_out
+            ))
+            score = score_cache.get(pattern)
+            if score is None:
+                score = posterior(net, spec.outcome, dict(pattern))[pos_idx]
+                score_cache[pattern] = score
+            dist = abs(score - spec.reference_threshold)
+            lean = spec.injector_strength * max(0.0, dist - spec.injector_offset)
+            p_pos = min(0.99, max(0.01, 0.5 + lean))
+            rng_inj = np.random.default_rng((spec.seed, rid, 1))
+            values[inject] = int(rng_inj.random() < p_pos)
+
+        if mcar:
+            rng_mask = np.random.default_rng((spec.seed, rid, 2))
+            masked = {name for name, rate in mcar if rng_mask.random() < rate}
+        else:
+            masked = ()
+
+        rows.append(tuple(
+            None if name in masked else net.var(name).states[values[name]]
+            for name in columns
+        ))
+    return Cohort(columns=columns, rows=rows)

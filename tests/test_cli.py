@@ -173,6 +173,22 @@ def test_rddo_config_unknown_key_exits_1(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["flag", "config", "config with split"])
+def test_rddo_rejects_negative_seed(tmp_path, capsys, where):
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=30)
+    out = tmp_path / "out"
+    if where == "flag":
+        config_path = _write_config(tmp_path, model_path, cohort_path, out)
+        argv = ["rddo", "--config", str(config_path), "--seed", "-4"]
+    else:
+        extra = {"split": [0.6, 0.2, 0.2]} if where == "config with split" else {}
+        config_path = _write_config(tmp_path, model_path, cohort_path, out, seed=-1, **extra)
+        argv = ["rddo", "--config", str(config_path)]
+    assert dispatch(argv) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # rddo end to end
 # ---------------------------------------------------------------------------
@@ -561,3 +577,22 @@ def test_synth_rejects_bad_parameter(tmp_path, capsys):
     rc = dispatch(["synth", "--bias", "1.5", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "bias" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["--n", "20", "--seed", "-1"], None, "seed must be >= 0"),
+    ([], {"seed": -1}, "seed must be >= 0"),
+    ([], {"n": 2.7}, "n must be an integer"),
+    ([], {"seed": 1.5}, "seed must be an integer"),
+    ([], {"n": "20"}, "n must be an integer"),
+    ([], {"n": True}, "n must be an integer"),
+])
+def test_synth_rejects_bad_seed_or_n_before_writing(tmp_path, capsys, argv, doc, message):
+    out = tmp_path / "o"
+    if doc is not None:
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"n": 20, **doc}), encoding="utf-8")
+        argv = [*argv, "--config", str(config)]
+    assert dispatch(["synth", *argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

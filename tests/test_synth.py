@@ -3,12 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rdtrial import synth
 from rdtrial.cohort import encode_columns, write_cohort_csv
 from rdtrial.errors import TooLargeForEnumeration
 from rdtrial.inference import do_posterior, posterior
 from rdtrial.model import Cpt, DiscreteNetwork, VariableDef, has_directed_path, validate_network
 from rdtrial.synth import (
+    ScenarioSpec,
+    _record_uniforms,
     confounded_triple,
     make_confounded_scenario,
     sample_cohort,
@@ -16,7 +21,7 @@ from rdtrial.synth import (
     true_interventional,
 )
 
-from helpers import chain_network, random_network
+from helpers import chain_network, panel_network, random_network, reference_sample_cohort
 
 
 # ---------------------------------------------------------------------------
@@ -211,3 +216,126 @@ def test_injector_biases_only_the_marker():
     # far-from-threshold records lean positive under the tilt
     enc = encode_columns(tilted.network, b, columns=["marker@0"])
     assert float((enc["marker@0"] == 1).mean()) > 0.6
+
+
+def test_scenario_rejects_negative_or_fractional_seed_and_n():
+    net = confounded_triple()
+    base = dict(network=net, n=10, seed=0, treatment="x", outcome="y",
+                positive_state="1", covariates=("z",))
+    for key, value, message in [
+        ("seed", -1, "seed must be >= 0"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("n", 2.7, "n must be an integer"),
+        ("n", True, "n must be an integer"),
+        ("n", 0, "n must be >= 1"),
+        ("n", 2**32 + 1, "n must be <= 2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(**{**base, key: value})
+    ScenarioSpec(**{**base, "seed": np.int64(3), "n": np.int64(2)})
+
+
+# ---------------------------------------------------------------------------
+# bulk streams against the per-record generators
+# ---------------------------------------------------------------------------
+
+_EDGE_RIDS = st.sampled_from([0, 1, 2**16, 2**31 - 1, 2**32 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**70), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])),
+    rids=st.lists(st.one_of(_EDGE_RIDS, st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+    stream=st.integers(0, 2),
+    k=st.integers(1, 20),
+)
+def test_record_uniforms_match_default_rng(seed, rids, stream, k):
+    got = _record_uniforms(seed, np.array(rids), stream, k)
+    want = np.array([np.random.default_rng((seed, rid, stream)).random(k) for rid in rids])
+    assert got.shape == (len(rids), k)
+    assert np.array_equal(got, want)
+
+
+def test_record_uniforms_across_blocks():
+    rids = np.arange(2 * synth._BLOCK + 5)
+    got = _record_uniforms(9, rids, 1, 3)
+    for rid in (0, synth._BLOCK - 1, synth._BLOCK, 2 * synth._BLOCK, len(rids) - 1):
+        assert np.array_equal(got[rid], np.random.default_rng((9, rid, 1)).random(3))
+
+
+def test_record_uniforms_rejects_ids_outside_one_word():
+    for rids in ([2**32], [-1]):
+        with pytest.raises(ValueError, match="record ids"):
+            _record_uniforms(0, np.array(rids), 0, 1)
+    with pytest.raises(ValueError, match="seed"):
+        _record_uniforms(-1, np.arange(3), 0, 1)
+
+
+def _csv_bytes(cohort, directory) -> bytes:
+    path = directory / "cohort.csv"
+    write_cohort_csv(cohort, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    bias=st.sampled_from([0.0, 0.12, 0.3, 0.6]),
+    n=st.integers(1, 250),
+    seed=st.integers(0, 2**40),
+    strength=st.sampled_from([0.0, -3.0, 2.5, 8.0]),
+    offset=st.sampled_from([0.0, 0.05, 0.1]),
+    rates=st.lists(st.sampled_from([0.0, 0.1, 0.5]), min_size=4, max_size=4),
+)
+def test_sample_cohort_matches_reference_loop(tmp_path_factory, bias, n, seed, strength,
+                                               offset, rates):
+    names = ("cov_a@0", "marker@0", "outcome@1", "conf@0")  # a latent entry too
+    spec = make_confounded_scenario(
+        bias=bias, n=n, seed=seed, injector_strength=strength, injector_offset=offset,
+        mcar=dict(zip(names, rates)),
+    )
+    d = tmp_path_factory.mktemp("csv")
+    assert _csv_bytes(sample_cohort(spec), d) == _csv_bytes(reference_sample_cohort(spec), d)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    net_seed=st.integers(0, 2**16),
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**40),
+    strength=st.sampled_from([0.0, 4.0]),
+)
+def test_sample_cohort_matches_reference_loop_unrolled(tmp_path_factory, net_seed, n, seed,
+                                                        strength):
+    spec = ScenarioSpec(
+        network=panel_network(np.random.default_rng(net_seed)),
+        n=n,
+        seed=seed,
+        treatment="drug@0",
+        outcome="out@2",
+        positive_state="yes",
+        covariates=("sex", "age@entry"),
+        latent=("lab@1",),
+        mcar={"lab@0": 0.2, "drug@3": 0.1, "age@entry": 0.3},
+        injector_covariate="sex",
+        injector_strength=strength,
+        injector_offset=0.05,
+    )
+    d = tmp_path_factory.mktemp("csv")
+    assert _csv_bytes(sample_cohort(spec), d) == _csv_bytes(reference_sample_cohort(spec), d)
+
+
+def test_sample_cohort_clamps_a_uniform_past_the_last_cumulative_sum(monkeypatch):
+    # a row may sum to 1 - ROW_SUM_TOL; searchsorted then returns card for a
+    # uniform above the last cumulative sum, and the last state is meant
+    short = 0.5 - 5e-10
+    net = DiscreteNetwork(
+        [VariableDef("a", ("0", "1", "2"))], [],
+        {"a": Cpt("a", (), np.array([[0.25, 0.25, short]]))},
+    )
+    assert validate_network(net).ok
+    draws = np.array([0.0, 0.25, 0.5, 0.9999999998, 1.0 - 2.0 ** -53])
+    monkeypatch.setattr(synth, "_record_uniforms",
+                        lambda seed, rids, stream, k: draws[:len(rids), None])
+    spec = ScenarioSpec(network=net, n=len(draws), seed=0, treatment="a", outcome="a",
+                        positive_state="1", covariates=())
+    assert sample_cohort(spec).column("a") == ["0", "1", "2", "2", "2"]
