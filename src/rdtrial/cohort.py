@@ -85,8 +85,8 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(cohort.columns)
-        for row in cohort.rows:
-            writer.writerow([MISSING if cell is None else cell for cell in row])
+        # csv writes None as an empty cell (a lone one as "", as MISSING is)
+        writer.writerows(cohort.rows)
 
 
 def encode_columns(

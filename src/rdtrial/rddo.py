@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import abc
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -563,11 +564,17 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
             raise ConfigError(f"config key {key!r} must be a non-empty string")
         return v
 
-    def coerce(key: str, kind: type, value: object):
+    def need_float(key: str, value: object) -> float:
         try:
-            return kind(value)
+            return float(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
+
+    def need_int(key: str, value: object) -> int:
+        # JSON integers only: int() would truncate 200.9 to 200
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+        return int(value)
 
     model_path = str((base / need_str("model")).resolve())
     cohort_path = str((base / need_str("cohort")).resolve())
@@ -575,22 +582,22 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
     if out_dir is not None:
         out_dir = str((base / str(out_dir)).resolve())
 
-    alpha = coerce("alpha", float, doc.get("alpha", 0.05))
+    alpha = need_float("alpha", doc.get("alpha", 0.05))
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    k_min = coerce("k_min", int, doc.get("k_min", 200))
+    k_min = need_int("k_min", doc.get("k_min", 200))
     if k_min < 2:
         raise ConfigError(f"k_min must be >= 2, got {k_min}")
-    k_step = coerce("k_step", int, doc.get("k_step", 1))
+    k_step = need_int("k_step", doc.get("k_step", 1))
     if k_step < 1:
         raise ConfigError(f"k_step must be >= 1, got {k_step}")
     k_max = doc.get("k_max")
     if k_max is not None:
-        k_max = coerce("k_max", int, k_max)
+        k_max = need_int("k_max", k_max)
         if k_max < k_min:
             raise ConfigError(f"k_max = {k_max} is below k_min = {k_min}")
     # accepted, no effect: effects run serially
-    threads = coerce("threads", int, doc.get("threads", 1))
+    threads = need_int("threads", doc.get("threads", 1))
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
@@ -598,7 +605,7 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
     if time_points is not None:
         if not isinstance(time_points, (list, tuple)) or not time_points:
             raise ConfigError("time_points must be a non-empty list of integers")
-        time_points = tuple(coerce("time_points", int, t) for t in time_points)
+        time_points = tuple(need_int("time_points", t) for t in time_points)
 
     covariates = doc.get("covariates")
     if covariates is not None:
@@ -632,8 +639,11 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
                 f"thresholds must be 'youden' or a per-time-point map, got {thresholds!r}"
             )
     elif isinstance(thresholds, Mapping):
+        # JSON object keys are strings: "1" names time point 1; a key of 20 or
+        # more digits names none, and int() refuses keys past 4300 digits
         thresholds = {
-            coerce("thresholds", int, k): coerce("thresholds", float, v)
+            need_int("thresholds", int(k) if isinstance(k, str) and k.isdecimal()
+                     and len(k) < 20 else k): need_float("thresholds", v)
             for k, v in thresholds.items()
         }
     else:
@@ -645,11 +655,11 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
     else:
         if not isinstance(split, (list, tuple)) or len(split) != 3:
             raise ConfigError("split must be three fractions or false")
-        split = tuple(coerce("split", float, f) for f in split)
+        split = tuple(need_float("split", f) for f in split)
         if abs(sum(split) - 1.0) > 1e-9 or any(f <= 0 for f in split):
             raise ConfigError(f"split fractions must be positive and sum to 1, got {split}")
 
-    seed = coerce("seed", int, doc.get("seed", 0))
+    seed = need_int("seed", doc.get("seed", 0))
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 

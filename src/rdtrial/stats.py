@@ -2,7 +2,11 @@
 
 The statistics themselves are computed here (the chi-square collapse rule
 and the KS effective-n convention are part of this package's contract);
-scipy supplies only the distribution tail functions.
+scipy supplies only the two tail functions, from ``scipy.special``:
+``chdtrc(dof, x)`` is what ``scipy.stats.chi2.sf(x, dof)`` evaluates and
+``kolmogorov(x)`` what ``scipy.stats.kstwobign.sf(x)`` evaluates, bit for
+bit, for the statistics >= 0 and dof >= 1 passed here. Calling them
+directly keeps ``scipy.stats`` and its import cost out of every process.
 """
 
 from __future__ import annotations
@@ -11,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
-from scipy.stats import kstwobign as _kstwobign
+from scipy.special import chdtrc, kolmogorov
 
 from .errors import DegenerateTable, EmptySample, SingleClass
 
@@ -85,7 +88,7 @@ def chi2_homogeneity(left: np.ndarray, right: np.ndarray) -> TestResult:
     stat = np.where(degenerate, np.nan, sum_l + sum_r)
     dof = np.where(degenerate, 0, cells - 1)
     p = np.full(len(lt), np.nan)
-    p[~degenerate] = _chi2_dist.sf(stat[~degenerate], dof[~degenerate])
+    p[~degenerate] = chdtrc(dof[~degenerate], stat[~degenerate])
 
     if left.ndim == 2:
         return TestResult(statistic=stat, p_value=p, dof=dof)
@@ -119,7 +122,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> TestResult:
     if d == 0.0:
         p = 1.0
     else:
-        p = float(_kstwobign.sf(math.sqrt(n_eff) * d))
+        p = float(kolmogorov(math.sqrt(n_eff) * d))
         p = min(1.0, max(0.0, p))
     return TestResult(statistic=d, p_value=p, effective_n=n_eff)
 

@@ -2,10 +2,13 @@
 scalar reference implementations of vectorized code."""
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
-from rdtrial.cohort import Cohort
+from rdtrial.cohort import MISSING, Cohort
 from rdtrial.errors import DegenerateTable
 from rdtrial.inference import posterior
 from rdtrial.model import Cpt, DbnTemplate, DiscreteNetwork, VariableDef, slice_rank, unroll
@@ -270,3 +273,16 @@ def reference_sample_cohort(spec: ScenarioSpec) -> Cohort:
             for name in columns
         ))
     return Cohort(columns=columns, rows=rows)
+
+
+def reference_write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
+    """Reference oracle: the per-row CSV writer, missing cells spelled out.
+
+    An independent check on ``rdtrial.cohort.write_cohort_csv``, which hands
+    the rows to one ``writerows`` call and lets csv write None as empty.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cohort.columns)
+        for row in cohort.rows:
+            writer.writerow([MISSING if cell is None else cell for cell in row])

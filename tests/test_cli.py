@@ -6,6 +6,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,10 @@ import pytest
 from rdtrial.cli import _PARSER, EFFECTS_HEADER, WINDOWS_HEADER, _build_parser, dispatch
 from rdtrial.cohort import Cohort, write_cohort_csv
 from rdtrial.modelio import load_model, save_model
+from rdtrial.rddo import load_run_config, parse_run_config
 from rdtrial.synth import confounded_triple, make_confounded_scenario, sample_cohort
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write_scenario(tmp_path, n=1200, seed=1, bias=0.12):
@@ -187,6 +192,43 @@ def test_rddo_rejects_negative_seed(tmp_path, capsys, where):
     assert dispatch(argv) == 1
     assert "seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k_min", 200.9), ("k_min", 200.0), ("k_min", "200"), ("k_min", True),
+    ("k_step", 1.5), ("k_max", 300.5), ("threads", 1.0),
+    ("seed", 2.7), ("seed", "3"), ("seed", False),
+    ("time_points", [1.0]), ("time_points", [1, "2"]),
+    ("thresholds", {"1.5": 0.43}), ("thresholds", {"one": 0.43}),
+    ("thresholds", {"9" * 5000: 0.43}),
+])
+def test_rddo_rejects_non_integer_config_values(tmp_path, capsys, key, value):
+    # int() would truncate 200.9 to 200 and run on a config nobody wrote
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=30)
+    out = tmp_path / "out"
+    config_path = _write_config(tmp_path, model_path, cohort_path, out, **{key: value})
+    assert dispatch(["rddo", "--config", str(config_path)]) == 1
+    assert f"config key {key!r} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shipped_and_bench_configs_parse(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    run_docs = [b for b in blocks if "cohort" in b]
+    assert run_docs
+    for doc in run_docs:
+        config = parse_run_config(doc, tmp_path)
+        assert (config.k_min, config.k_step, config.thresholds) == (200, 100, {1: 0.43})
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    for name in ("scan-fine", "panel-effects"):
+        workloads.WORKLOADS[name].setup(tmp_path / name, 1)
+        config = load_run_config(tmp_path / name / "run.json")
+        assert isinstance(config.k_min, int) and isinstance(config.seed, int)
 
 
 # ---------------------------------------------------------------------------

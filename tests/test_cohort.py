@@ -15,7 +15,7 @@ from rdtrial.cohort import (
 )
 from rdtrial.errors import DataError, UnknownState, UnknownVariable
 
-from helpers import chain_network
+from helpers import chain_network, reference_write_cohort_csv
 
 
 def test_csv_round_trip_with_missing(tmp_path):
@@ -29,6 +29,45 @@ def test_csv_round_trip_with_missing(tmp_path):
     assert back.columns == cohort.columns
     assert back.rows == cohort.rows
     assert back.ids.tolist() == [0, 1, 2]
+
+
+def _same_csv_bytes(cohort, tmp_path):
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    write_cohort_csv(cohort, fast)
+    reference_write_cohort_csv(cohort, ref)
+    return fast.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("columns, rows", [
+    (("a", "b", "c"), [("0", None, "1"), (None, None, None), ("1", "0", "0")]),
+    (("a", "b"), [("0", None), ("1", None)]),                     # None last cell
+    (("a",), [(None,), ("1",), (None,)]),                          # a lone None
+    (("a,b", 'say "hi"'), [("x,y", '"q"'), (None, "p, q"), ("", None)]),
+    (("a",), []),
+])
+def test_write_cohort_csv_matches_the_per_row_reference(tmp_path, columns, rows):
+    assert _same_csv_bytes(Cohort(columns=columns, rows=rows), tmp_path)
+
+
+def test_write_cohort_csv_quotes_a_lone_missing_cell(tmp_path):
+    # an empty line would read back as no row at all
+    rows = [(None,), ("1",), (None,)]
+    path = tmp_path / "cohort.csv"
+    write_cohort_csv(Cohort(columns=("a",), rows=rows), path)
+    assert path.read_text(encoding="utf-8") == 'a\n""\n1\n""\n'
+    assert read_cohort_csv(path).rows == rows
+
+
+_LABEL = st.one_of(st.none(), st.text(alphabet='ab01 ,"', max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.tuples(*[_LABEL] * m), max_size=12)))
+def test_write_cohort_csv_matches_the_reference_on_random_rows(tmp_path_factory, rows):
+    m = len(rows[0]) if rows else 1
+    cohort = Cohort(columns=tuple(f"c{i}" for i in range(m)), rows=rows)
+    assert _same_csv_bytes(cohort, tmp_path_factory.mktemp("csv"))
 
 
 def test_read_rejects_ragged_and_empty(tmp_path):

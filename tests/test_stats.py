@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import chi2 as chi2_dist
+from scipy.stats import kstwobign
 
+from rdtrial import stats
 from rdtrial.errors import DegenerateTable, EmptySample, SingleClass
 from rdtrial.stats import (
     bonferroni_alpha,
@@ -157,6 +160,65 @@ def test_chi2_stacked_rows_match_the_scalar_reference(tables):
         assert type(one.p_value) is float and type(one.dof) is int
 
 
+# The tails come from scipy.special; scipy.stats is the oracle they must match
+# bit for bit, so that no p-value, gate decision or output byte moves.
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+# statistic 0, subnormal and tiny, ordinary, large and infinite arguments
+_TAIL_EDGES = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 3.84, 40.0, 1e6, math.inf]
+_TAIL_ARG = st.one_of(st.sampled_from(_TAIL_EDGES),
+                      st.floats(0.0, 1e6, allow_nan=False, allow_subnormal=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TAIL_ARG, st.integers(1, 20)), min_size=1, max_size=40))
+def test_chi2_tail_equals_scipy_stats_bit_for_bit(pairs):
+    x = np.array([a for a, _ in pairs])
+    dof = np.array([d for _, d in pairs])
+    assert _bits(stats.chdtrc(dof, x)) == _bits(chi2_dist.sf(x, dof))
+    for a, d in pairs:
+        assert _bits(stats.chdtrc(d, a)) == _bits(chi2_dist.sf(a, d))
+
+
+@st.composite
+def _wide_tables(draw):
+    # dof 1 to 20 over counts large enough that few categories collapse,
+    # with an occasional identical-groups row (statistic 0)
+    cats = draw(st.integers(2, 21))
+    rows = draw(st.integers(1, 4))
+    counts = st.one_of(st.integers(0, 40), st.integers(5, 500_000))
+    left = draw(arrays(np.int64, (rows, cats), elements=counts))
+    right = draw(arrays(np.int64, (rows, cats), elements=counts))
+    same = draw(arrays(np.bool_, rows, elements=st.sampled_from([False] * 3 + [True])))
+    right[same] = left[same]
+    return left, right
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_tables())
+def test_chi2_p_values_equal_scipy_stats_bit_for_bit(tables):
+    left, right = tables
+    res = chi2_homogeneity(left, right)
+    ok = res.dof > 0
+    assert _bits(res.p_value[ok]) == _bits(chi2_dist.sf(res.statistic[ok], res.dof[ok]))
+    for i in np.flatnonzero(ok):
+        one = chi2_homogeneity(left[i], right[i])
+        assert _bits(one.p_value) == _bits(chi2_dist.sf(one.statistic, one.dof))
+
+
+def test_chi2_p_value_at_zero_and_large_statistics():
+    zero = chi2_homogeneity(np.array([7, 9, 11]), np.array([7, 9, 11]))
+    assert zero.statistic == 0.0 and zero.dof == 2
+    assert _bits(zero.p_value) == _bits(chi2_dist.sf(0.0, 2)) == _bits(1.0)
+    # every expected count is 250000 and every deviation 250000: statistic 1e6
+    large = chi2_homogeneity(np.array([500_000, 0]), np.array([0, 500_000]))
+    assert large.statistic == 1e6 and large.dof == 1
+    assert _bits(large.p_value) == _bits(chi2_dist.sf(1e6, 1))
+
+
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov
 # ---------------------------------------------------------------------------
@@ -206,6 +268,27 @@ def test_ks_calibration_under_null():
         if ks_two_sample(a, b).p_value < 0.05:
             rejections += 1
     assert 1 <= rejections <= 24  # nominal 10, generous band
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TAIL_ARG, min_size=1, max_size=40))
+def test_ks_tail_equals_scipy_stats_bit_for_bit(xs):
+    x = np.array(xs)
+    assert _bits(stats.kolmogorov(x)) == _bits(kstwobign.sf(x))
+    for a in xs:
+        assert _bits(stats.kolmogorov(a)) == _bits(kstwobign.sf(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=300),
+       st.lists(st.integers(0, 30), min_size=1, max_size=300))
+def test_ks_p_values_equal_scipy_stats_bit_for_bit(a, b):
+    res = ks_two_sample(np.array(a, dtype=float), np.array(b, dtype=float))
+    if res.statistic == 0.0:
+        assert res.p_value == 1.0
+        return
+    oracle = float(kstwobign.sf(math.sqrt(res.effective_n) * res.statistic))
+    assert _bits(res.p_value) == _bits(oracle)
 
 
 # ---------------------------------------------------------------------------
