@@ -23,19 +23,13 @@ import scipy
 
 from . import __version__
 from .cohort import Cohort, read_cohort_csv, write_cohort_csv
-from .errors import ConfigError, DataError, RdTrialError, UnknownState, required_file
+from .errors import ConfigError, DataError, RdTrialError, UnknownState, read_json, required_file
 from .inference import do_posterior, posterior
 from .learning import em_fit
-from .model import Cpt, DiscreteNetwork, unroll
-from .modelio import dumps_model, load_model, network_from_dict, save_model
+from .model import DiscreteNetwork
+from .modelio import dumps_model, network_from_dict, save_model
 from .preprocess import PlausibilityRange, apply_plausibility, bin_column, mdlp_cuts
-from .rddo import (
-    RdDoReport,
-    RunConfig,
-    load_run_config,
-    parse_run_config,
-    run_rd_do,
-)
+from .rddo import RdDoReport, load_network, parse_run_config, run_rd_do
 from .stats import youden_threshold
 from .synth import make_confounded_scenario, sample_cohort, true_interventional
 
@@ -236,28 +230,21 @@ def emit_report(report: RdDoReport, out_dir: str | Path) -> dict[str, Path]:
 # ---------------------------------------------------------------------------
 
 def _cmd_rddo(args) -> int:
+    # flags override config keys; flag paths resolve against the working
+    # directory, config paths against the config's directory
     if args.config:
-        config = load_run_config(args.config)
+        doc, base = read_json("config", args.config), Path(args.config).parent
+    elif args.model and args.cohort:
+        doc, base = {}, Path()
     else:
-        if not (args.model and args.cohort):
-            raise ConfigError("rddo needs --config or both --model and --cohort")
-        config = parse_run_config({"model": args.model, "cohort": args.cohort})
-    overrides = {}
-    if args.model:
-        overrides["model_path"] = str(Path(args.model).resolve())
-    if args.cohort:
-        overrides["cohort_path"] = str(Path(args.cohort).resolve())
-    if args.out:
-        overrides["out_dir"] = str(Path(args.out).resolve())
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {args.seed}")
-        overrides["seed"] = args.seed
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {args.threads}")
-    if overrides:
-        from dataclasses import replace
-        config = replace(config, **overrides)
+        raise ConfigError("rddo needs --config or both --model and --cohort")
+    for key in ("model", "cohort", "out"):
+        if path := getattr(args, key):
+            doc[key] = str(Path(path).resolve())
+    for key in ("seed", "threads"):
+        if (value := getattr(args, key)) is not None:
+            doc[key] = value
+    config = parse_run_config(doc, base)
     if config.out_dir is None:
         raise ConfigError("no output directory: set 'out' in the config or pass --out")
 
@@ -290,16 +277,6 @@ def _parse_assignments(text: str) -> dict[str, str]:
     return out
 
 
-def _load_net(path: str, horizon: int | None) -> DiscreteNetwork:
-    with required_file("model", path):
-        model = load_model(path)
-    if isinstance(model, DiscreteNetwork):
-        return model
-    if horizon is None:
-        raise ConfigError("model is a temporal template: pass --horizon to unroll")
-    return unroll(model, horizon)
-
-
 def _encode_assignment(net: DiscreteNetwork, pairs: dict[str, str]) -> dict[str, int]:
     out: dict[str, int] = {}
     for name, state in pairs.items():
@@ -314,7 +291,7 @@ def _encode_assignment(net: DiscreteNetwork, pairs: dict[str, str]) -> dict[str,
 
 
 def _cmd_infer(args) -> int:
-    net = _load_net(args.model, args.horizon)
+    net = load_network(args.model, args.horizon)
     evidence = _encode_assignment(net, _parse_assignments(args.evidence or ""))
     if args.do:
         do_pairs = _encode_assignment(net, _parse_assignments(args.do))
@@ -342,9 +319,12 @@ def _read_number_file(path: str, what: str) -> np.ndarray:
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
-            raise DataError(f"{p}: line {i + 1}: {line!r} is not a number") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise DataError(f"{p}: line {i + 1}: {line!r} is not a finite number")
+        values.append(value)
     if not values:
         raise DataError(f"{p}: no values")
     return np.array(values, dtype=np.float64)
@@ -366,18 +346,9 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    with required_file("structure", args.structure):
-        text = Path(args.structure).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.structure}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "variables" not in doc:
-        raise ConfigError(f"{args.structure}: missing 'variables'")
+    doc = read_json("structure", args.structure)
     if "template" in doc:
         raise ConfigError("learn expects a plain (unrolled) network structure")
-    doc = dict(doc)
-    doc.setdefault("arcs", [])
     if not doc.get("cpts"):
         doc["cpts"] = _uniform_cpts(doc)
     structure = network_from_dict(doc)
@@ -393,9 +364,7 @@ def _cmd_learn(args) -> int:
         if name not in cols:
             cols[name] = np.full(len(cohort), -1, dtype=np.int64)
     try:
-        fitted, fit = em_fit(
-            structure, cols, alpha=args.alpha, seed=args.seed, max_iter=args.max_iter
-        )
+        fitted, fit = em_fit(structure, cols, alpha=args.alpha, max_iter=args.max_iter)
     except ValueError as exc:  # em_fit's argument checks
         raise ConfigError(str(exc)) from exc
     save_model(fitted, args.out)
@@ -406,18 +375,16 @@ def _cmd_learn(args) -> int:
 
 
 def _uniform_cpts(doc: dict) -> dict:
-    cards = {}
-    for v in doc.get("variables", []):
-        if not isinstance(v, dict) or "name" not in v or "states" not in v:
-            raise ConfigError("each variable needs 'name' and 'states'")
-        cards[v["name"]] = len(v["states"])
-    parents: dict[str, list[str]] = {name: [] for name in cards}
-    for arc in doc.get("arcs", []):
-        if not isinstance(arc, (list, tuple)) or len(arc) != 2:
-            raise ConfigError(f"each arc must be a [parent, child] pair, got {arc!r}")
-        src, dst = arc
-        if dst in parents:
-            parents[dst].append(src)
+    """Uniform CPTs for a structure document; none when it is malformed,
+    which network_from_dict then names."""
+    try:
+        cards = {v["name"]: len(v["states"]) for v in doc["variables"]}
+        parents: dict[str, list[str]] = {name: [] for name in cards}
+        for src, dst in doc.get("arcs", []):
+            if dst in parents:
+                parents[dst].append(src)
+    except (KeyError, TypeError, ValueError):
+        return {}
     cpts = {}
     for name, card in cards.items():
         n_cfg = 1
@@ -497,39 +464,15 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    params = {}
-    if args.config:
-        p = Path(args.config)
-        with required_file("config", p):
-            text = p.read_text(encoding="utf-8")
-        try:
-            params = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
-        if not isinstance(params, dict):
-            raise ConfigError("synth config must be a JSON object")
-        allowed = {"bias", "n", "seed", "injector_strength", "injector_offset", "mcar"}
-        unknown = sorted(set(params) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown synth config key(s): {', '.join(unknown)}")
-    if args.bias is not None:
-        params["bias"] = args.bias
-    if args.n is not None:
-        params["n"] = args.n
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.strength is not None:
-        params["injector_strength"] = args.strength
-
+    params = read_json("config", args.config) if args.config else {}
+    allowed = {"bias", "n", "seed", "injector_strength", "injector_offset", "mcar"}
+    unknown = sorted(set(params) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown synth config key(s): {', '.join(unknown)}")
+    flags = {"bias": args.bias, "n": args.n, "seed": args.seed, "injector_strength": args.strength}
+    params.update((key, value) for key, value in flags.items() if value is not None)
     try:
-        spec = make_confounded_scenario(
-            bias=float(params.get("bias", 0.12)),
-            n=params.get("n", 10_000),
-            seed=params.get("seed", 0),
-            injector_strength=float(params.get("injector_strength", 0.0)),
-            injector_offset=float(params.get("injector_offset", 0.0)),
-            mcar=params.get("mcar") or {},
-        )
+        spec = make_confounded_scenario(**params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -611,7 +554,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True, help="fitted model JSON")
     p.add_argument("--alpha", type=float, default=0.0, help="additive smoothing")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(func=_cmd_learn)
 

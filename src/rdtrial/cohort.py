@@ -70,6 +70,9 @@ def read_cohort_csv(path: str | Path) -> Cohort:
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         columns = tuple(h.strip() for h in header)
+        if len(set(columns)) != len(columns):
+            twice = next(c for i, c in enumerate(columns) if c in columns[:i])
+            raise DataError(f"{path}: column {twice!r} appears twice in the header")
         rows: list[tuple[str | None, ...]] = []
         for lineno, raw in enumerate(reader, start=2):
             if len(raw) != len(columns):

@@ -5,7 +5,9 @@ can catch package failures with a single except clause. The CLI maps
 :class:`ConfigError` to exit code 1 and :class:`DataError` to exit code 2.
 """
 
+import json
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class RdTrialError(Exception):
@@ -131,3 +133,17 @@ def required_file(what: str, path):
         yield
     except (FileNotFoundError, NotADirectoryError):
         raise ConfigError(f"{what} file not found: {path}") from None
+
+
+def read_json(what: str, path) -> dict:
+    """The JSON object in a file. A missing file is ConfigError as in
+    required_file; so is a file that does not hold one JSON object."""
+    with required_file(what, path):
+        text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    return doc

@@ -99,21 +99,15 @@ def mle_fit(structure: DiscreteNetwork, cols: Columns, alpha: float = 1.0) -> Di
 # EM
 # ---------------------------------------------------------------------------
 
-def _initial_network(structure: DiscreteNetwork, init: str, seed: int | None) -> DiscreteNetwork:
+def _initial_network(structure: DiscreteNetwork, init: str) -> DiscreteNetwork:
     if init == "given":
         return structure
+    if init != "uniform":
+        raise ValueError(f"init must be 'uniform' or 'given', got {init!r}")
     cpts: dict[str, Cpt] = {}
-    rng = np.random.default_rng(seed) if init == "random" else None
     for v in structure.variables:
         old = structure.cpts[v.name]
-        shape = (old.n_configs, v.card)
-        if init == "uniform":
-            rows = np.full(shape, 1.0 / v.card)
-        elif init == "random":
-            rows = rng.dirichlet(np.ones(v.card), size=shape[0])
-        else:
-            raise ValueError(f"init must be 'uniform', 'random' or 'given', got {init!r}")
-        cpts[v.name] = Cpt(v.name, old.parents, rows)
+        cpts[v.name] = Cpt(v.name, old.parents, np.full((old.n_configs, v.card), 1.0 / v.card))
     return DiscreteNetwork(structure.variables, structure.arcs, cpts, structure.outcomes)
 
 
@@ -168,7 +162,6 @@ def em_fit(
     cols: Columns,
     alpha: float = 0.0,
     init: str = "uniform",
-    seed: int | None = None,
     max_iter: int = 200,
     tol: float = 1e-6,
 ) -> tuple[DiscreteNetwork, FitReport]:
@@ -178,7 +171,8 @@ def em_fit(
     calibrated elimination over all distinct observation patterns that
     yields every family's table; M-step is mle_fit's counts-to-CPT
     normalization. Convergence is max absolute parameter change below
-    ``tol``.
+    ``tol``. EM starts from ``init``: "uniform" (every CPT row uniform) or
+    "given" (the structure's own CPTs).
     The log-likelihood trace (one entry per parameter vector visited, first
     entry = initialization; each from that iteration's E-step, the last from
     row_log_likelihoods) is non-decreasing when alpha = 0; with alpha > 0
@@ -215,7 +209,7 @@ def em_fit(
             iterations=1, log_likelihood=(ll,), converged=True, final_delta=0.0
         )
 
-    net = _initial_network(structure, init, seed)
+    net = _initial_network(structure, init)
     trace: list[float] = []
     converged = False
     delta = float("inf")

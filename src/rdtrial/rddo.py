@@ -15,7 +15,6 @@ their largest significant mean effect difference.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from collections import abc
@@ -33,6 +32,7 @@ from .errors import (
     EmptySample,
     NoCausalPath,
     TooFewRecords,
+    read_json,
     required_file,
 )
 from .inference import do_posterior, posterior, requisite
@@ -565,10 +565,11 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
         return v
 
     def need_float(key: str, value: object) -> float:
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
+        # JSON numbers only: float() would take "0.43", true and "nan"
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+        return float(value)
 
     def need_int(key: str, value: object) -> int:
         # JSON integers only: int() would truncate 200.9 to 200
@@ -606,6 +607,8 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
         if not isinstance(time_points, (list, tuple)) or not time_points:
             raise ConfigError("time_points must be a non-empty list of integers")
         time_points = tuple(need_int("time_points", t) for t in time_points)
+        if len(set(time_points)) != len(time_points):
+            raise ConfigError(f"time_points must not repeat a time point, got {list(time_points)}")
 
     covariates = doc.get("covariates")
     if covariates is not None:
@@ -687,14 +690,9 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    p = Path(path)
-    with required_file("config", p):
-        text = p.read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-    return parse_run_config(doc, p.parent)
+    """The run config in a JSON file; its relative paths resolve against
+    the file's directory."""
+    return parse_run_config(read_json("config", path), Path(path).parent)
 
 
 @dataclass(frozen=True)
@@ -729,13 +727,14 @@ class RdDoReport:
     config: RunConfig
 
 
-def _resolve_net(config: RunConfig) -> DiscreteNetwork:
-    with required_file("model", config.model_path):
-        model = load_model(config.model_path)
+def load_network(path: str | Path, horizon: int | None) -> DiscreteNetwork:
+    """The network in a model file; a template is unrolled to ``horizon``."""
+    with required_file("model", path):
+        model = load_model(path)
     if isinstance(model, DiscreteNetwork):
         return model
-    time_points = config.time_points
-    horizon = max(time_points) if time_points else 1
+    if horizon is None:
+        raise ConfigError("model is a temporal template: pass --horizon to unroll")
     return unroll(model, horizon)
 
 
@@ -773,7 +772,7 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
     such, not fatal. The time point whose window has the highest power is
     flagged as best. A fixed config gives byte-identical reports.
     """
-    net = _resolve_net(config)
+    net = load_network(config.model_path, max(config.time_points or (1,)))
     cohort_path = Path(config.cohort_path)
     with required_file("cohort", cohort_path):
         cohort = read_cohort_csv(cohort_path)

@@ -23,6 +23,7 @@ PCG64) for every record at once, bit for bit.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -202,8 +203,13 @@ def make_confounded_scenario(
     what gives the window scan a distance axis to work with. The noise
     covariate has no directed path to the outcome (causal-mode queries on it
     must be rejected); the marker covariate is the injection target for
-    covariate imbalance.
+    covariate imbalance. bias and the injector settings must be finite numbers.
     """
+    for key, value in (("bias", bias), ("injector_strength", injector_strength),
+                       ("injector_offset", injector_offset)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
+    bias = float(bias)
     d = solve_gap(bias)
     a_by_x = {0: d.y1_given_x0_z, 1: d.y1_given_x1_z}
     all_a = [*d.y1_given_x0_z, *d.y1_given_x1_z]

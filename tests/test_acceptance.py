@@ -135,7 +135,7 @@ def test_acceptance_3_em_learning():
 
     # 20% missing completely at random, 10,000 rows: parameters recovered
     net, masked = _sample_triple_columns(rng, 10_000, mcar=0.2)
-    fitted, _ = em_fit(net, masked, alpha=0.0, seed=0)
+    fitted, _ = em_fit(net, masked, alpha=0.0)
     cpt_err = max(
         float(np.max(np.abs(fitted.cpts[v].rows - net.cpts[v].rows)))
         for v in net.names
@@ -146,7 +146,7 @@ def test_acceptance_3_em_learning():
     for seed in range(20):
         srng = np.random.default_rng(1000 + seed)
         net, cols = _sample_triple_columns(srng, 400, mcar=0.2)
-        _, fit = em_fit(net, cols, alpha=0.0, seed=seed, max_iter=40)
+        _, fit = em_fit(net, cols, alpha=0.0, max_iter=40)
         trace = np.asarray(fit.log_likelihood)
         if trace.size > 1:
             worst_drop = min(worst_drop, float(np.min(np.diff(trace))))

@@ -82,7 +82,7 @@ def test_calls_in_one_process_behave_like_fresh_calls(tmp_path, capsys):
     # a usage error, then a valid call of another subcommand, then the first
     assert dispatch(["threshold", "--scores", str(scores)]) == 1
     assert "--labels" in capsys.readouterr().err
-    assert dispatch(learn + ["--alpha", "1", "--seed", "7", "--max-iter", "3"]) == 0
+    assert dispatch(learn + ["--alpha", "1", "--max-iter", "3"]) == 0
     assert "iterations=" in capsys.readouterr().out
     assert dispatch(threshold) == 0
     assert capsys.readouterr().out == first
@@ -210,6 +210,122 @@ def test_rddo_rejects_non_integer_config_values(tmp_path, capsys, key, value):
     assert dispatch(["rddo", "--config", str(config_path)]) == 1
     assert f"config key {key!r} must be an integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("thresholds", {"1": "nan"}), ("thresholds", {"1": float("nan")}),
+    ("thresholds", {"1": float("inf")}), ("thresholds", {"1": True}),
+    ("thresholds", {"1": "0.43"}), ("alpha", "0.05"), ("alpha", True),
+    ("alpha", float("nan")), ("split", ["0.6", 0.2, 0.2]), ("split", [True, 0.0, 0.0]),
+])
+def test_rddo_rejects_non_finite_or_non_number_config_values(tmp_path, capsys, key, value):
+    # float() would take "nan", "0.43" and true and run on a config nobody wrote
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=30)
+    out = tmp_path / "out"
+    config_path = _write_config(tmp_path, model_path, cohort_path, out, **{key: value})
+    assert dispatch(["rddo", "--config", str(config_path)]) == 1
+    assert f"config key {key!r} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rddo_rejects_a_repeated_time_point(tmp_path, capsys):
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=30)
+    out = tmp_path / "out"
+    config_path = _write_config(tmp_path, model_path, cohort_path, out, time_points=[1, 1])
+    assert dispatch(["rddo", "--config", str(config_path)]) == 1
+    assert "must not repeat a time point" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rddo_cohort_naming_a_column_twice_exits_2(tmp_path, capsys):
+    spec, model_path, _ = _write_scenario(tmp_path, n=30)
+    cohort = sample_cohort(spec)
+    twice = Cohort(
+        columns=tuple("cov_a@0" if c == "noise@0" else c for c in cohort.columns),
+        rows=cohort.rows,
+    )
+    cohort_path = tmp_path / "twice.csv"
+    write_cohort_csv(twice, cohort_path)
+    out = tmp_path / "out"
+    rc = dispatch(["rddo", "--model", str(model_path), "--cohort", str(cohort_path),
+                   "--out", str(out)])
+    assert rc == 2
+    assert "column 'cov_a@0' appears twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rddo_flags_beat_config_keys(tmp_path, capsys):
+    # every config key a flag also sets is wrong; the flags alone make it run
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=300)
+    ghost = tmp_path / "ghost"
+    config_path = _write_config(tmp_path, ghost, ghost, tmp_path / "config-out",
+                                seed=-1, threads=0)
+    out = tmp_path / "flag-out"
+    assert dispatch([
+        "rddo", "--config", str(config_path), "--model", str(model_path),
+        "--cohort", str(cohort_path), "--out", str(out), "--seed", "5", "--threads", "1",
+    ]) == 0
+    capsys.readouterr()
+    config = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["config"]
+    assert config["model_path"] == str(model_path.resolve())
+    assert config["cohort_path"] == str(cohort_path.resolve())
+    assert config["out_dir"] == str(out.resolve())
+    assert config["seed"] == 5
+    assert not (tmp_path / "config-out").exists()
+
+
+def test_rddo_relative_paths(tmp_path, monkeypatch, capsys):
+    # a flag path resolves against the working directory, a config path
+    # against the config's directory
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=300)
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    config_path = config_dir / "run.json"
+    config_path.write_text(json.dumps({
+        "model": "../model.json", "cohort": "../cohort.csv", "out": "config-out",
+        "thresholds": {"1": 0.43}, "split": None,
+    }), encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert dispatch(["rddo", "--config", "../configs/run.json"]) == 0
+    assert (config_dir / "config-out" / "report.json").is_file()
+    assert dispatch(["rddo", "--config", "../configs/run.json", "--out", "flag-out",
+                     "--model", "../model.json"]) == 0
+    assert (work / "flag-out" / "report.json").is_file()
+    assert not (config_dir / "flag-out").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, key, value, message", [
+    ("--seed", "seed", -1, "seed must be >= 0, got -1"),
+    ("--threads", "threads", 0, "threads must be >= 1, got 0"),
+])
+def test_rddo_bad_flag_fails_like_the_config_key(tmp_path, capsys, flag, key, value, message):
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=30)
+    out = tmp_path / "out"
+    config_path = _write_config(tmp_path, model_path, cohort_path, out, **{key: value})
+    assert dispatch(["rddo", "--config", str(config_path)]) == 1
+    from_config = capsys.readouterr().err
+    assert dispatch(["rddo", "--model", str(model_path), "--cohort", str(cohort_path),
+                     "--out", str(out), flag, str(value)]) == 1
+    assert capsys.readouterr().err == from_config == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, what", [("rddo", "config"), ("synth", "config"),
+                                           ("learn", "structure")])
+def test_bad_json_input_exits_1_with_one_message(tmp_path, capsys, command, what):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    flag = "--structure" if command == "learn" else "--config"
+    argv = {"rddo": [], "synth": ["--out", str(tmp_path / "o")],
+            "learn": _write_learn_inputs(tmp_path)[3:]}[command]
+    assert dispatch([command, flag, str(broken), *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {what} file {broken} is not valid JSON: ")
+    broken.write_text("[1, 2]", encoding="utf-8")
+    assert dispatch([command, flag, str(broken), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {what} file {broken} must hold a JSON object\n"
 
 
 def test_shipped_and_bench_configs_parse(tmp_path):
@@ -410,6 +526,15 @@ def test_threshold_input_validation(tmp_path, capsys):
     assert dispatch([
         "threshold", "--scores", str(tmp_path / "none.txt"), "--labels", str(labels2),
     ]) == 1
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_threshold_rejects_non_finite_scores(tmp_path, capsys, bad):
+    # a nan score would silently move the threshold (0.35, J = 0.5 here)
+    scores = _write_lines(tmp_path / "s.txt", [0.1, bad, 0.6, 0.9])
+    labels = _write_lines(tmp_path / "y.txt", [0, 0, 1, 1])
+    assert dispatch(["threshold", "--scores", str(scores), "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err == f"error: {scores}: line 2: {bad!r} is not a finite number\n"
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +744,39 @@ def test_synth_rejects_bad_parameter(tmp_path, capsys):
     rc = dispatch(["synth", "--bias", "1.5", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "bias" in capsys.readouterr().err
+
+
+def test_synth_flags_beat_config_keys(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"bias": 0.3, "n": 20, "seed": 1, "injector_strength": 1.0,
+                                  "injector_offset": 0.25}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert dispatch(["synth", "--config", str(config), "--bias", "0.1", "--n", "30",
+                     "--seed", "2", "--strength", "2.0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    cert = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
+    assert (cert["analytic"]["bias"], cert["n"], cert["seed"]) == (0.1, 30, 2)
+    assert cert["injector"] == {"covariate": "marker@0", "strength": 2.0, "offset": 0.25}
+
+
+@pytest.mark.parametrize("doc", [{"bias": "0.12"}, {"bias": float("nan")},
+                                 {"injector_strength": True}, {"injector_offset": float("inf")}])
+def test_synth_rejects_non_finite_or_non_number_values(tmp_path, capsys, doc):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n": 20, **doc}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert dispatch(["synth", "--config", str(config), "--out", str(out)]) == 1
+    assert f"{next(iter(doc))} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_learn_malformed_structure_exits_1_naming_it(tmp_path, capsys):
+    learn = _write_learn_inputs(tmp_path)
+    structure = Path(learn[2])
+    structure.write_text(json.dumps({"variables": [{"name": "a"}]}), encoding="utf-8")
+    assert dispatch(learn) == 1
+    assert "'name' and 'states'" in capsys.readouterr().err
+    assert not (tmp_path / "fitted.json").exists()
 
 
 @pytest.mark.parametrize("argv, doc, message", [

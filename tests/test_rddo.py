@@ -865,8 +865,9 @@ def test_parse_run_config_rejections(tmp_path):
 
 
 def test_parse_run_config_threshold_map_coercion(tmp_path):
+    # JSON object keys are strings; the values must be JSON numbers
     config = parse_run_config(
-        {"model": "m", "cohort": "c", "thresholds": {"1": "0.43"}}, tmp_path
+        {"model": "m", "cohort": "c", "thresholds": {"1": 0.43}}, tmp_path
     )
     assert config.thresholds == {1: 0.43}
 
