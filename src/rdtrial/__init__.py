@@ -69,6 +69,7 @@ from .preprocess import (
     apply_plausibility,
     bin_column,
     mdlp_cuts,
+    numeric_column,
 )
 from .rddo import (
     CategoryEffect,
@@ -121,7 +122,7 @@ __all__ = [
     "FitReport", "mle_fit", "em_fit", "stratified_split", "undersample",
     # preprocess
     "PlausibilityRange", "apply_plausibility", "BinningScheme",
-    "mdlp_cuts", "apply_bins", "bin_column",
+    "mdlp_cuts", "apply_bins", "bin_column", "numeric_column",
     # stats
     "TestResult", "chi2_homogeneity", "ks_two_sample", "bonferroni_alpha",
     "youden_threshold", "sample_power",

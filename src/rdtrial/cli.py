@@ -25,10 +25,10 @@ from . import __version__
 from .cohort import Cohort, read_cohort_csv, write_cohort_csv
 from .errors import ConfigError, DataError, RdTrialError, UnknownState, read_json, required_file
 from .inference import do_posterior, posterior
-from .learning import em_fit
+from .learning import em_fit, outcome_labels
 from .model import DiscreteNetwork
 from .modelio import dumps_model, network_from_dict, save_model
-from .preprocess import PlausibilityRange, apply_plausibility, bin_column, mdlp_cuts
+from .preprocess import PlausibilityRange, apply_plausibility, bin_column, mdlp_cuts, numeric_column
 from .rddo import RdDoReport, load_network, parse_run_config, run_rd_do
 from .stats import youden_threshold
 from .synth import make_confounded_scenario, sample_cohort, true_interventional
@@ -419,31 +419,20 @@ def _cmd_discretize(args) -> int:
     if ranges:
         cohort, changes = apply_plausibility(cohort, ranges, source=args.cohort)
 
-    labels_col = cohort.column(args.outcome)
+    labelled = cohort.codes[:, cohort.col_index(args.outcome)] >= 0
+    positive = outcome_labels(cohort, [args.outcome], args.positive).astype(np.int64)
+    codes, labels = cohort.codes.copy(), list(cohort.labels)
     schemes = {}
-    new_columns = {c: None for c in columns}
     for c in columns:
-        raw = cohort.column(c)
-        pairs = [
-            (float(v), 1 if y == args.positive else 0)
-            for v, y in zip(raw, labels_col)
-            if v is not None and y is not None
-        ]
-        if not pairs:
+        values = numeric_column(cohort, c, source=args.cohort)  # nan: missing
+        usable = ~np.isnan(values) & labelled
+        if not usable.any():
             raise DataError(f"column {c!r} has no usable (value, label) pairs")
-        values = np.array([p[0] for p in pairs])
-        labels = np.array([p[1] for p in pairs])
-        scheme = mdlp_cuts(values, labels, variable=c)
+        scheme = mdlp_cuts(values[usable], positive[usable], variable=c)
         schemes[c] = scheme
-        new_columns[c] = bin_column(raw, scheme, c, source=args.cohort)
-
-    rows = []
-    for r in range(len(cohort)):
-        row = list(cohort.rows[r])
-        for c in columns:
-            row[cohort.col_index(c)] = new_columns[c][r]
-        rows.append(tuple(row))
-    binned = Cohort(columns=cohort.columns, rows=rows, ids=cohort.ids)
+        j = cohort.col_index(c)
+        codes[:, j], labels[j] = bin_column(values, scheme), scheme.labels
+    binned = Cohort(cohort.columns, codes, labels, cohort.ids)
     write_cohort_csv(binned, args.out)
     print(f"wrote {args.out}")
     if args.bins_out:

@@ -1,45 +1,89 @@
 """Cohort container and CSV conventions.
 
 A cohort is a rectangular table: one row per record, one column per node
-(``var@t`` / ``var@entry`` / ``var``). Cells hold state labels as strings;
-an empty CSV cell is a missing observation (None in memory). Record ids are
-assigned positionally at load time and are carried unchanged through
-subsets and splits so that every downstream tie-break and reduction is
-stable.
+(``var@t`` / ``var@entry`` / ``var``), held as a small-int code matrix whose
+codes index each column's labels; -1 is a missing observation (an empty CSV
+cell). No cell is stored as a string. Record ids are assigned positionally
+at load time and are carried unchanged through subsets and splits so that
+every downstream tie-break and reduction is stable.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, UnknownState, UnknownVariable
+from .errors import DataError, RaggedRow, UnknownState, UnknownVariable
 from .model import DiscreteNetwork
 
 MISSING = ""  # CSV representation of a missing cell
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Cohort:
+    """Records x columns of codes: ``codes[r, j]`` indexes ``labels[j]``,
+    and -1 is a missing cell. :meth:`from_rows` builds one from string
+    cells. The constructor stores ``codes`` C-ordered in the smallest signed
+    int type that holds every code, and ``codes`` and ``ids`` (default:
+    positions) as read-only views."""
+
     columns: tuple[str, ...]
-    rows: list[tuple[str | None, ...]]
-    ids: np.ndarray = field(default=None)  # type: ignore[assignment]
+    codes: np.ndarray
+    labels: tuple[tuple[str, ...], ...]
+    ids: np.ndarray | None = None
 
     def __post_init__(self):
-        self.columns = tuple(self.columns)
-        if self.ids is None:
-            self.ids = np.arange(len(self.rows), dtype=np.int64)
-        else:
-            self.ids = np.asarray(self.ids, dtype=np.int64)
-        if len(self.ids) != len(self.rows):
-            raise ValueError("ids and rows must have equal length")
+        labels = tuple(map(tuple, self.labels))
+        dtype = np.min_scalar_type(-max([1, *map(len, labels)]))
+        codes = np.asarray(self.codes).astype(dtype, order="C", copy=False).view()
+        ids = np.arange(len(codes)) if self.ids is None else self.ids
+        ids = np.asarray(ids, dtype=np.int64).view()
+        if codes.shape != (len(ids), len(self.columns)) or len(labels) != len(self.columns):
+            raise ValueError("codes must be (records, columns), with an id per record "
+                             "and a label tuple per column")
+        codes.flags.writeable = ids.flags.writeable = False
+        for name, value in (("columns", tuple(self.columns)), ("codes", codes),
+                            ("labels", labels), ("ids", ids)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_rows(
+        cls,
+        columns: Sequence[str],
+        rows: Iterable[Sequence[str | None]],
+        ids: Sequence[int] | np.ndarray | None = None,
+    ) -> "Cohort":
+        """Cohort from rows of string cells; None and "" are missing.
+
+        Equal rows share one code through a dict, and only the distinct rows
+        are split into columns and factorized, so a record costs one tuple
+        hash. ``rows`` is read once. A row whose cell count differs from the
+        column count raises RaggedRow with the first such row's position.
+        """
+        columns = tuple(columns)
+        seen: dict[tuple, int] = {}
+        record = np.fromiter((seen.setdefault(tuple(row), len(seen)) for row in rows),
+                             dtype=np.intp)
+        for k, row in enumerate(seen):  # in order of first appearance
+            if len(row) != len(columns):
+                raise RaggedRow(int(np.argmax(record == k)), len(row), len(columns))
+        labels = [()] * len(columns)
+        table = np.empty((len(columns), len(seen)), dtype=np.int64)
+        for j, cells in enumerate(zip(*seen)):
+            held = dict.fromkeys(cells)  # in order of first appearance
+            held.pop(None, None)
+            held.pop(MISSING, None)
+            labels[j] = tuple(held)
+            code = {label: i for i, label in enumerate(held)} | {None: -1, MISSING: -1}
+            table[j] = np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))
+        return cls(columns, table.T[record], labels, ids)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.codes)
 
     def col_index(self, name: str) -> int:
         try:
@@ -48,20 +92,34 @@ class Cohort:
             raise UnknownVariable(f"cohort has no column {name!r}") from None
 
     def column(self, name: str) -> list[str | None]:
-        i = self.col_index(name)
-        return [row[i] for row in self.rows]
+        """The column's cells as labels, None where missing."""
+        j = self.col_index(name)
+        # the trailing None is what a missing cell's code -1 picks
+        return np.array([*self.labels[j], None], dtype=object)[self.codes[:, j]].tolist()
+
+    @property
+    def rows(self) -> list[tuple[str | None, ...]]:
+        """Each record's cells as a tuple of labels, None where missing; a
+        copy built on each read."""
+        return list(_label_rows(self))
 
     def subset(self, positions: Sequence[int]) -> "Cohort":
         """New cohort with the given row positions; original ids kept."""
-        pos = list(positions)
-        return Cohort(
-            columns=self.columns,
-            rows=[self.rows[i] for i in pos],
-            ids=self.ids[pos],
-        )
+        pos = np.asarray(positions, dtype=np.intp)
+        return Cohort(self.columns, self.codes[pos], self.labels, self.ids[pos])
+
+
+def _label_rows(cohort: Cohort) -> Iterable[tuple[str | None, ...]]:
+    """The cohort's rows of labels, made by one label lookup per column and
+    zipped into tuples only as they are read."""
+    if not cohort.columns:
+        return [()] * len(cohort)
+    return zip(*map(cohort.column, cohort.columns))
 
 
 def read_cohort_csv(path: str | Path) -> Cohort:
+    """Read a cohort CSV: a header row, then one row per record. The rows
+    stream into :meth:`Cohort.from_rows`; none is kept."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -73,14 +131,12 @@ def read_cohort_csv(path: str | Path) -> Cohort:
         if len(set(columns)) != len(columns):
             twice = next(c for i, c in enumerate(columns) if c in columns[:i])
             raise DataError(f"{path}: column {twice!r} appears twice in the header")
-        rows: list[tuple[str | None, ...]] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if len(raw) != len(columns):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(raw)} cells, header has {len(columns)}"
-                )
-            rows.append(tuple(cell if cell != MISSING else None for cell in raw))
-    return Cohort(columns=columns, rows=rows)
+        try:
+            return Cohort.from_rows(columns, reader)
+        except RaggedRow as exc:  # the header is line 1
+            raise DataError(
+                f"{path}: row {exc.position + 2} has {exc.cells} cells, header has {len(columns)}"
+            ) from None
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
@@ -88,8 +144,9 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(cohort.columns)
-        # csv writes None as an empty cell (a lone one as "", as MISSING is)
-        writer.writerows(cohort.rows)
+        # csv writes None as an empty cell (a lone one as "", as MISSING is);
+        # the rows stream, so no list of every row is held
+        writer.writerows(_label_rows(cohort))
 
 
 def encode_columns(
@@ -100,30 +157,31 @@ def encode_columns(
 ) -> dict[str, np.ndarray]:
     """Encode cohort columns as int arrays of state indices; -1 is missing.
 
-    Columns default to every cohort column that names a network node.
-    UnknownState is raised with file/row/column context via DataError at the
-    CLI boundary; here the message names row id and column.
+    Columns default to every cohort column that names a network node. Each
+    column's labels map to the variable's states once, then one take maps
+    the codes. UnknownState names the first record (in cohort order) of the
+    first column that holds a label that is not a state: its id and column.
     """
     if columns is None:
         columns = [c for c in cohort.columns if c in net]
     out: dict[str, np.ndarray] = {}
     for name in columns:
         var = net.var(name)
+        j = cohort.col_index(name)
         lut = {s: i for i, s in enumerate(var.states)}
-        ci = cohort.col_index(name)
-        arr = np.full(len(cohort), -1, dtype=np.int64)
-        for r, row in enumerate(cohort.rows):
-            cell = row[ci]
-            if cell is None:
-                continue
-            code = lut.get(cell)
-            if code is None:
+        # -2 marks a label that is no state; the trailing -1 is what a
+        # missing cell's code -1 picks
+        state = np.array([lut.get(label, -2) for label in cohort.labels[j]] + [-1],
+                         dtype=np.int64)
+        out[name] = state[cohort.codes[:, j]]
+        if -2 in state:  # raise if a record holds that label
+            held = np.flatnonzero(out[name] == -2)
+            if held.size:
+                r = held[0]
                 raise UnknownState(
-                    f"{source}: record {int(cohort.ids[r])}, column {name!r}: "
-                    f"state {cell!r} is not one of {list(var.states)}"
+                    f"{source}: record {int(cohort.ids[r])}, column {name!r}: state "
+                    f"{cohort.labels[j][cohort.codes[r, j]]!r} is not one of {list(var.states)}"
                 )
-            arr[r] = code
-        out[name] = arr
     return out
 
 

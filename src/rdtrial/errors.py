@@ -125,6 +125,16 @@ class DataError(RdTrialError):
     """Malformed data content. CLI exit code 2. Names file, row, column."""
 
 
+class RaggedRow(DataError):
+    """A cohort row whose cell count differs from the column count. Carries
+    the row's position among the rows and its cell count."""
+
+    def __init__(self, position, cells, width):
+        self.position = position
+        self.cells = cells
+        super().__init__(f"row at position {position} has {cells} cells, expected {width}")
+
+
 @contextmanager
 def required_file(what: str, path):
     """Turn a missing input file, met when it is opened, into ConfigError

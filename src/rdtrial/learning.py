@@ -249,10 +249,9 @@ def outcome_labels(
     """Per-record binary label: positive at any of the outcome nodes."""
     labels = np.zeros(len(cohort), dtype=bool)
     for node in outcome_nodes:
-        col = cohort.column(node)
-        for r, cell in enumerate(col):
-            if cell == positive_state:
-                labels[r] = True
+        j = cohort.col_index(node)
+        if positive_state in cohort.labels[j]:
+            labels |= cohort.codes[:, j] == cohort.labels[j].index(positive_state)
     return labels
 
 
@@ -286,7 +285,7 @@ def stratified_split(
         raise ValueError(f"fractions must be positive and sum to 1, got {fractions}")
     labels = outcome_labels(cohort, outcome_nodes, positive_state)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[], [], []]
+    fold = np.empty(len(cohort), dtype=np.intp)  # each record's fold
     for value in (True, False):
         members = np.nonzero(labels == value)[0]
         if members.size == 0:
@@ -296,16 +295,9 @@ def stratified_split(
             raise InsufficientPositives(
                 f"{members.size} positive(s) cannot give every fold at least one"
             )
-        perm = rng.permutation(members)
-        start = 0
-        for i, c in enumerate(counts):
-            folds[i].extend(perm[start:start + c].tolist())
-            start += c
-    out = []
-    for members in folds:
-        members.sort()
-        out.append(cohort.subset(members))
-    return out[0], out[1], out[2]
+        fold[rng.permutation(members)] = np.repeat(np.arange(3), counts)
+    train, valid, test = (cohort.subset(np.flatnonzero(fold == i)) for i in range(3))
+    return train, valid, test
 
 
 def undersample(
@@ -334,4 +326,4 @@ def undersample(
         keep_major = rng.choice(pos, size=neg.size, replace=False)
         members = np.concatenate([keep_major, neg])
     members.sort()
-    return cohort.subset(members.tolist())
+    return cohort.subset(members)

@@ -51,37 +51,55 @@ class RangeChange:
 def apply_plausibility(
     cohort: Cohort, ranges: list[PlausibilityRange], source: str = "cohort"
 ) -> tuple[Cohort, list[RangeChange]]:
-    """Replace out-of-range values with missing; return the change log.
+    """Replace out-of-range values with missing; return the change log, in
+    record, then column order.
 
     A range for variable ``v`` applies to every cohort column whose base
     name is ``v`` (all slices and the entry column). Values must parse as
-    floats; anything unparseable raises DataError naming record and column.
+    floats; anything unparseable raises DataError as numeric_column does.
     """
     by_var = {r.variable: r for r in ranges}
-    col_range: list[PlausibilityRange | None] = []
-    for col in cohort.columns:
-        base, _ = parse_node(col)
-        col_range.append(by_var.get(base))
+    codes = cohort.codes.copy()
+    cleared = np.zeros(codes.shape, dtype=bool)
+    values = {}
+    for j, col in enumerate(cohort.columns):
+        rng = by_var.get(parse_node(col)[0])
+        if rng is not None:
+            values[j] = numeric_column(cohort, col, source, finite=False)
+            inside = (rng.min <= values[j]) & (values[j] <= rng.max)
+            cleared[:, j] = ~inside & (codes[:, j] >= 0)
+    changes = [
+        RangeChange(int(cohort.ids[r]), cohort.columns[j], float(values[j][r]))
+        for r, j in zip(*np.nonzero(cleared))
+    ]
+    codes[cleared] = -1
+    return Cohort(cohort.columns, codes, cohort.labels, cohort.ids), changes
 
-    changes: list[RangeChange] = []
-    new_rows: list[tuple[str | None, ...]] = []
-    for r, row in enumerate(cohort.rows):
-        out = list(row)
-        for c, rng in enumerate(col_range):
-            if rng is None or out[c] is None:
-                continue
-            try:
-                value = float(out[c])
-            except ValueError:
-                raise DataError(
-                    f"{source}: record {int(cohort.ids[r])}, column "
-                    f"{cohort.columns[c]!r}: {out[c]!r} is not numeric"
-                ) from None
-            if not (rng.min <= value <= rng.max):
-                changes.append(RangeChange(int(cohort.ids[r]), cohort.columns[c], value))
-                out[c] = None
-        new_rows.append(tuple(out))
-    return Cohort(columns=cohort.columns, rows=new_rows, ids=cohort.ids.copy()), changes
+
+def numeric_column(cohort: Cohort, column: str, source: str = "cohort",
+                   finite: bool = True) -> np.ndarray:
+    """A column's cells as floats, nan where missing; each label is parsed
+    once. A label that a record holds and that is not a number (with
+    ``finite``, not a finite one) raises DataError naming the first such
+    record and the column."""
+    j = cohort.col_index(column)
+    labels, col = cohort.labels[j], cohort.codes[:, j]
+    values = np.full(len(labels) + 1, np.nan)  # the last one is what -1 picks
+    problems = {}
+    for i, label in enumerate(labels):
+        try:
+            values[i] = float(label)
+        except ValueError:
+            problems[i] = "is not numeric"
+        else:
+            if finite and not math.isfinite(values[i]):
+                problems[i] = "is not a finite number"
+    held = np.flatnonzero(np.isin(col, list(problems))) if problems else ()
+    if len(held):
+        code = col[held[0]]
+        raise DataError(f"{source}: record {int(cohort.ids[held[0]])}, column {column!r}: "
+                        f"{labels[code]!r} {problems[code]}")
+    return values[col]
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +268,11 @@ def apply_bins(value: float | None, scheme: BinningScheme) -> int | None:
     return idx
 
 
-def bin_column(values: list[str | None], scheme: BinningScheme, column: str,
-               source: str = "cohort") -> list[str | None]:
-    """Apply a scheme to a raw string column, producing state labels."""
-    out: list[str | None] = []
-    for r, cell in enumerate(values):
-        if cell is None:
-            out.append(None)
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            raise DataError(
-                f"{source}: row {r}, column {column!r}: {cell!r} is not numeric"
-            ) from None
-        idx = apply_bins(value, scheme)
-        out.append(scheme.labels[idx])
-    return out
+def bin_column(values: np.ndarray, scheme: BinningScheme) -> np.ndarray:
+    """Bin index of each value, as apply_bins gives it one value at a time;
+    a nan value is missing and gets -1. Infinite values raise NonFiniteValue."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.isinf(values).any():
+        raise NonFiniteValue(f"variable {scheme.variable!r}: cannot bin an infinite value")
+    bins = np.searchsorted(np.asarray(scheme.cuts, dtype=np.float64), values, side="right")
+    return np.where(np.isnan(values), -1, bins)

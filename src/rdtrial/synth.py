@@ -174,10 +174,19 @@ class ScenarioSpec:
             raise ValueError(f"n must be <= 2**32, got {self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.mcar, Mapping):
+            raise ValueError(f"mcar must map variable names to rates, got {self.mcar!r}")
+        object.__setattr__(self, "mcar", dict(self.mcar))
         for name, rate in self.mcar.items():
             self.network.var(name)
+            _check_finite(f"mcar rate for {name!r}", rate)
             if not 0 <= rate < 1:
-                raise ValueError(f"MCAR rate for {name!r} must be in [0, 1), got {rate}")
+                raise ValueError(f"mcar rate for {name!r} must be in [0, 1), got {rate}")
+
+
+def _check_finite(what: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 _NOISE_A = (-2.0 / 3.0, 0.0, 2.0 / 3.0)   # scaled by amp; P = .25/.5/.25
@@ -207,8 +216,7 @@ def make_confounded_scenario(
     """
     for key, value in (("bias", bias), ("injector_strength", injector_strength),
                        ("injector_offset", injector_offset)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise ValueError(f"{key} must be a finite number, got {value!r}")
+        _check_finite(key, value)
     bias = float(bias)
     d = solve_gap(bias)
     a_by_x = {0: d.y1_given_x0_z, 1: d.y1_given_x1_z}
@@ -277,7 +285,7 @@ def make_confounded_scenario(
         positive_state="yes",
         covariates=("cov_a@0", "cov_b@0", "marker@0", "noise@0"),
         latent=("conf@0",),
-        mcar=dict(mcar or {}),
+        mcar={} if mcar is None else mcar,
         injector_covariate="marker@0",
         injector_strength=float(injector_strength),
         injector_offset=float(injector_offset),
@@ -437,7 +445,8 @@ def sample_cohort(spec: ScenarioSpec) -> Cohort:
 
     :func:`_record_uniforms` draws a stream for every record at once, and
     each node is sampled for the whole column. Latent variables are sampled
-    (they drive their children) but never exported.
+    (they drive their children) but never exported. The cohort holds the
+    state codes, with each variable's states as its column's labels.
     """
     net = spec.network
     n = spec.n
@@ -486,15 +495,13 @@ def sample_cohort(spec: ScenarioSpec) -> Cohort:
         for j, (name, rate) in enumerate(mcar):
             codes[name] = np.where(u_mask[:, j] < rate, -1, codes[name])
 
-    latent = set(spec.latent)
-    cells = []
-    for var in net.variables:
-        if var.name not in latent:
-            labels = np.array([*var.states, None], dtype=object)  # -1 picks None
-            cells.append(labels[codes.pop(var.name)].tolist())
-    columns = tuple(v.name for v in net.variables if v.name not in latent)
-    rows = list(zip(*cells)) if cells else [()] * n
-    return Cohort(columns=columns, rows=rows)
+    exported = [var for var in net.variables if var.name not in spec.latent]
+    table = np.array([codes.pop(var.name) for var in exported], dtype=np.intp)
+    return Cohort(
+        columns=tuple(var.name for var in exported),
+        codes=table.reshape(len(exported), n).T,
+        labels=tuple(var.states for var in exported),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
 from rdtrial.cohort import MISSING, Cohort
-from rdtrial.errors import DegenerateTable
+from rdtrial.errors import DataError, DegenerateTable, UnknownState
 from rdtrial.inference import posterior
 from rdtrial.model import Cpt, DbnTemplate, DiscreteNetwork, VariableDef, slice_rank, unroll
 from rdtrial.stats import EXPECTED_MIN, TestResult
@@ -272,7 +272,7 @@ def reference_sample_cohort(spec: ScenarioSpec) -> Cohort:
             None if name in masked else net.var(name).states[values[name]]
             for name in columns
         ))
-    return Cohort(columns=columns, rows=rows)
+    return Cohort.from_rows(columns=columns, rows=rows)
 
 
 def reference_write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
@@ -286,3 +286,68 @@ def reference_write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
         writer.writerow(cohort.columns)
         for row in cohort.rows:
             writer.writerow([MISSING if cell is None else cell for cell in row])
+
+
+# ---------------------------------------------------------------------------
+# per-cell cohort references: the row-of-strings code the columnar cohort
+# replaced. Rows are tuples of str or None; None is a missing cell.
+# ---------------------------------------------------------------------------
+
+def reference_read_cohort_rows(path: str | Path) -> tuple[tuple[str, ...], list[tuple]]:
+    """Reference oracle for ``read_cohort_csv``: (columns, rows) read one
+    cell at a time, with the same header and ragged-row errors."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        columns = tuple(h.strip() for h in header)
+        if len(set(columns)) != len(columns):
+            twice = next(c for i, c in enumerate(columns) if c in columns[:i])
+            raise DataError(f"{path}: column {twice!r} appears twice in the header")
+        rows = []
+        for lineno, raw in enumerate(reader, start=2):
+            if len(raw) != len(columns):
+                raise DataError(
+                    f"{path}: row {lineno} has {len(raw)} cells, header has {len(columns)}"
+                )
+            rows.append(tuple(cell if cell != MISSING else None for cell in raw))
+    return columns, rows
+
+
+def reference_encode_columns(net: DiscreteNetwork, columns, rows, ids, names,
+                             source: str = "cohort") -> dict[str, np.ndarray]:
+    """Reference oracle for ``encode_columns``: a state lookup per cell,
+    column by column; the first unknown label raises UnknownState."""
+    out = {}
+    for name in names:
+        var = net.var(name)
+        lut = {s: i for i, s in enumerate(var.states)}
+        ci = columns.index(name)
+        arr = np.full(len(rows), -1, dtype=np.int64)
+        for r, row in enumerate(rows):
+            cell = row[ci]
+            if cell is None:
+                continue
+            if cell not in lut:
+                raise UnknownState(
+                    f"{source}: record {int(ids[r])}, column {name!r}: "
+                    f"state {cell!r} is not one of {list(var.states)}"
+                )
+            arr[r] = lut[cell]
+        out[name] = arr
+    return out
+
+
+def reference_outcome_labels(columns, rows, outcome_nodes, positive_state) -> np.ndarray:
+    """Reference oracle for ``learning.outcome_labels``: positive where any
+    outcome cell equals the positive state."""
+    labels = np.zeros(len(rows), dtype=bool)
+    for node in outcome_nodes:
+        ci = columns.index(node)
+        for r, row in enumerate(rows):
+            if row[ci] == positive_state:
+                labels[r] = True
+    return labels

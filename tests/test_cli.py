@@ -154,7 +154,7 @@ def test_rddo_missing_cohort_exits_1_with_path(tmp_path, capsys):
 def test_rddo_unknown_cohort_column_exits_2(tmp_path, capsys):
     spec, model_path, _ = _write_scenario(tmp_path, n=30)
     cohort = sample_cohort(spec)
-    bad = Cohort(
+    bad = Cohort.from_rows(
         columns=cohort.columns[:-1] + ("intruder",),
         rows=cohort.rows,
         ids=cohort.ids,
@@ -240,7 +240,7 @@ def test_rddo_rejects_a_repeated_time_point(tmp_path, capsys):
 def test_rddo_cohort_naming_a_column_twice_exits_2(tmp_path, capsys):
     spec, model_path, _ = _write_scenario(tmp_path, n=30)
     cohort = sample_cohort(spec)
-    twice = Cohort(
+    twice = Cohort.from_rows(
         columns=tuple("cov_a@0" if c == "noise@0" else c for c in cohort.columns),
         rows=cohort.rows,
     )
@@ -708,6 +708,27 @@ def test_discretize_bad_range_exits_1(tmp_path, capsys):
     assert "name=min:max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell, problem", [
+    ("abc", "'abc' is not numeric"),
+    ("nan", "'nan' is not a finite number"),
+    ("inf", "'inf' is not a finite number"),
+    ("-inf", "'-inf' is not a finite number"),
+])
+@pytest.mark.parametrize("ranges", [[], ["--range", "y=0:1"]])
+def test_discretize_bad_cell_exits_2_naming_record_and_column(tmp_path, capsys, cell,
+                                                              problem, ranges):
+    cohort_path = tmp_path / "c.csv"
+    cohort_path.write_text(f"v,y\n1,0\n,1\n2,0\n{cell},1\n10,1\n", encoding="utf-8")
+    out = tmp_path / "b.csv"
+    rc = dispatch([
+        "discretize", "--cohort", str(cohort_path), "--columns", "v",
+        "--outcome", "y", "--positive", "1", "--out", str(out), *ranges,
+    ])
+    assert rc == 2
+    assert f"record 3, column 'v': {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -767,6 +788,24 @@ def test_synth_rejects_non_finite_or_non_number_values(tmp_path, capsys, doc):
     out = tmp_path / "o"
     assert dispatch(["synth", "--config", str(config), "--out", str(out)]) == 1
     assert f"{next(iter(doc))} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mcar, message", [
+    ({"treat@0": "0.2"}, "mcar rate for 'treat@0' must be a finite number, got '0.2'"),
+    ({"treat@0": False}, "mcar rate for 'treat@0' must be a finite number, got False"),
+    ({"cov_a@0": True}, "mcar rate for 'cov_a@0' must be a finite number, got True"),
+    ({"cov_a@0": float("nan")}, "mcar rate for 'cov_a@0' must be a finite number, got nan"),
+    ({"cov_a@0": 1.5}, "mcar rate for 'cov_a@0' must be in [0, 1), got 1.5"),
+    ([["treat@0", 0.2]], "mcar must map variable names to rates"),
+    (False, "mcar must map variable names to rates"),
+])
+def test_synth_rejects_bad_mcar_rates(tmp_path, capsys, mcar, message):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n": 20, "mcar": mcar}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert dispatch(["synth", "--config", str(config), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

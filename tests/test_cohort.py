@@ -1,12 +1,15 @@
 """Cohort container and CSV/state-encoding round trips."""
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdtrial.cohort import (
+    MISSING,
     Cohort,
     encode_columns,
     read_cohort_csv,
@@ -14,12 +17,20 @@ from rdtrial.cohort import (
     write_cohort_csv,
 )
 from rdtrial.errors import DataError, UnknownState, UnknownVariable
+from rdtrial.learning import outcome_labels
+from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
 
-from helpers import chain_network, reference_write_cohort_csv
+from helpers import (
+    chain_network,
+    reference_encode_columns,
+    reference_outcome_labels,
+    reference_read_cohort_rows,
+    reference_write_cohort_csv,
+)
 
 
 def test_csv_round_trip_with_missing(tmp_path):
-    cohort = Cohort(
+    cohort = Cohort.from_rows(
         columns=("a", "b"),
         rows=[("0", "1"), (None, "0"), ("1", None)],
     )
@@ -46,14 +57,14 @@ def _same_csv_bytes(cohort, tmp_path):
     (("a",), []),
 ])
 def test_write_cohort_csv_matches_the_per_row_reference(tmp_path, columns, rows):
-    assert _same_csv_bytes(Cohort(columns=columns, rows=rows), tmp_path)
+    assert _same_csv_bytes(Cohort.from_rows(columns=columns, rows=rows), tmp_path)
 
 
 def test_write_cohort_csv_quotes_a_lone_missing_cell(tmp_path):
     # an empty line would read back as no row at all
     rows = [(None,), ("1",), (None,)]
     path = tmp_path / "cohort.csv"
-    write_cohort_csv(Cohort(columns=("a",), rows=rows), path)
+    write_cohort_csv(Cohort.from_rows(columns=("a",), rows=rows), path)
     assert path.read_text(encoding="utf-8") == 'a\n""\n1\n""\n'
     assert read_cohort_csv(path).rows == rows
 
@@ -66,8 +77,119 @@ _LABEL = st.one_of(st.none(), st.text(alphabet='ab01 ,"', max_size=4))
     lambda m: st.lists(st.tuples(*[_LABEL] * m), max_size=12)))
 def test_write_cohort_csv_matches_the_reference_on_random_rows(tmp_path_factory, rows):
     m = len(rows[0]) if rows else 1
-    cohort = Cohort(columns=tuple(f"c{i}" for i in range(m)), rows=rows)
+    cohort = Cohort.from_rows(columns=tuple(f"c{i}" for i in range(m)), rows=rows)
     assert _same_csv_bytes(cohort, tmp_path_factory.mktemp("csv"))
+
+
+def _missing_as_none(rows):
+    # from_rows reads "" as missing, as the CSV reader always has
+    return [tuple(None if cell == MISSING else cell for cell in row) for row in rows]
+
+
+_WIDTH_AND_ROWS = st.integers(1, 4).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.tuples(*[_LABEL] * m), max_size=12)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_WIDTH_AND_ROWS)
+def test_from_rows_write_read_round_trip(tmp_path_factory, case):
+    m, rows = case
+    columns = tuple(f"c{i}" for i in range(m))
+    cohort = Cohort.from_rows(columns, rows)
+    want = _missing_as_none(rows)
+    assert cohort.rows == want
+    assert cohort.codes.shape == (len(rows), m) and cohort.codes.dtype.kind == "i"
+    path = tmp_path_factory.mktemp("csv") / "cohort.csv"
+    write_cohort_csv(cohort, path)
+    back = read_cohort_csv(path)
+    assert back.columns == columns
+    assert back.rows == want
+    assert back.ids.tolist() == list(range(len(rows)))
+    assert reference_read_cohort_rows(path) == (columns, want)
+
+
+_STATES = ("a", " b", 'x,"y"', "0")
+_CELL = st.one_of(st.none(), st.just(MISSING), st.sampled_from(_STATES + ("zz",)))
+
+
+def _flat_network(columns):
+    uniform = np.full((1, len(_STATES)), 1.0 / len(_STATES))
+    return DiscreteNetwork(
+        variables=[VariableDef(c, _STATES) for c in columns],
+        arcs=[],
+        cpts={c: Cpt(c, (), uniform) for c in columns},
+    )
+
+
+def _same_encoding(net, cohort, columns, rows, names):
+    try:
+        want = reference_encode_columns(net, columns, rows, cohort.ids, names)
+    except UnknownState as exc:
+        with pytest.raises(UnknownState) as got:
+            encode_columns(net, cohort, names)
+        assert str(got.value) == str(exc)
+    else:
+        got = encode_columns(net, cohort, names)
+        assert list(got) == list(want)
+        for name in names:
+            assert got[name].dtype == np.int64
+            assert np.array_equal(got[name], want[name])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.tuples(*[_CELL] * m), max_size=20))),
+    st.data())
+def test_columnar_cohort_matches_the_per_cell_references(case, data):
+    m, rows = case
+    columns = tuple(f"c{i}" for i in range(m))
+    ids = np.arange(len(rows)) * 3 + 5
+    cohort = Cohort.from_rows(columns, rows, ids=ids)
+    want = _missing_as_none(rows)
+    net = _flat_network(columns)
+    names = data.draw(st.permutations(columns))
+    _same_encoding(net, cohort, columns, want, names)
+
+    positions = data.draw(st.lists(st.integers(0, len(rows) - 1)) if rows else st.just([]))
+    sub = cohort.subset(positions)
+    sub_rows = [want[i] for i in positions]
+    assert sub.rows == sub_rows
+    assert sub.ids.tolist() == ids[positions].tolist()
+    # a subset keeps every label, held or not: only held ones may raise
+    _same_encoding(net, sub, columns, sub_rows, names)
+
+    nodes = data.draw(st.lists(st.sampled_from(columns), unique=True))
+    positive = data.draw(st.sampled_from(_STATES + ("zz",)))
+    assert np.array_equal(outcome_labels(sub, nodes, positive),
+                          reference_outcome_labels(columns, sub_rows, nodes, positive))
+
+
+# rows drawn from a small pool repeat, so a ragged row's position among the
+# rows differs from its position among the distinct rows
+_RAW_ROWS = st.lists(
+    st.lists(_LABEL.map(lambda c: MISSING if c is None else c), max_size=4),
+    min_size=1, max_size=4,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", " c", "a,b"]), min_size=1, max_size=3), _RAW_ROWS)
+def test_read_errors_match_the_per_cell_reference(tmp_path_factory, header, raw_rows):
+    path = tmp_path_factory.mktemp("csv") / "cohort.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(raw_rows)
+    try:
+        columns, rows = reference_read_cohort_rows(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_cohort_csv(path)
+        assert str(got.value) == str(exc)
+    else:
+        back = read_cohort_csv(path)
+        assert back.columns == columns
+        assert back.rows == rows
 
 
 def test_read_rejects_ragged_and_empty(tmp_path):
@@ -82,7 +204,7 @@ def test_read_rejects_ragged_and_empty(tmp_path):
 
 
 def test_subset_keeps_original_ids():
-    cohort = Cohort(columns=("a",), rows=[("0",), ("1",), ("0",), ("1",)])
+    cohort = Cohort.from_rows(columns=("a",), rows=[("0",), ("1",), ("0",), ("1",)])
     sub = cohort.subset([3, 1])
     assert sub.ids.tolist() == [3, 1]
     assert sub.rows == [("1",), ("1",)]
@@ -91,17 +213,17 @@ def test_subset_keeps_original_ids():
 
 
 def test_column_access_errors():
-    cohort = Cohort(columns=("a",), rows=[("0",)])
+    cohort = Cohort.from_rows(columns=("a",), rows=[("0",)])
     assert cohort.column("a") == ["0"]
     with pytest.raises(UnknownVariable):
         cohort.column("nope")
     with pytest.raises(ValueError):
-        Cohort(columns=("a",), rows=[("0",)], ids=np.array([1, 2]))
+        Cohort.from_rows(columns=("a",), rows=[("0",)], ids=np.array([1, 2]))
 
 
 def test_encode_columns():
     net = chain_network()
-    cohort = Cohort(
+    cohort = Cohort.from_rows(
         columns=("a", "b", "ignored"),
         rows=[("0", "1", "x"), ("1", None, "y")],
     )
@@ -113,7 +235,7 @@ def test_encode_columns():
 
 def test_encode_columns_unknown_state_names_context():
     net = chain_network()
-    cohort = Cohort(columns=("a",), rows=[("2",)], ids=np.array([41]))
+    cohort = Cohort.from_rows(columns=("a",), rows=[("2",)], ids=np.array([41]))
     with pytest.raises(UnknownState, match=r"record 41, column 'a'"):
         encode_columns(net, cohort)
 

@@ -382,7 +382,7 @@ def test_fits_reject_bad_columns():
 
 def _labelled_cohort(n_pos: int, n_neg: int) -> Cohort:
     rows = [("yes",)] * n_pos + [("no",)] * n_neg
-    return Cohort(columns=("y@1",), rows=rows)
+    return Cohort.from_rows(columns=("y@1",), rows=rows)
 
 
 def test_stratified_split_counts():
@@ -432,7 +432,7 @@ def test_undersample_balances_classes():
 
 
 def test_outcome_labels_multiple_nodes():
-    cohort = Cohort(
+    cohort = Cohort.from_rows(
         columns=("y@1", "y@2"),
         rows=[("no", "yes"), ("no", "no"), ("yes", None)],
     )

@@ -20,6 +20,7 @@ from rdtrial.preprocess import (
     apply_plausibility,
     bin_column,
     mdlp_cuts,
+    numeric_column,
 )
 
 
@@ -165,10 +166,23 @@ def test_apply_bins_boundary_convention():
 
 def test_bin_column():
     scheme = BinningScheme.from_cuts("x", (6.5,))
-    out = bin_column(["1.0", None, "7.2"], scheme, "x@0")
-    assert out == ["(-inf, 6.5)", None, "[6.5, inf)"]
-    with pytest.raises(DataError, match="x@0"):
-        bin_column(["abc"], scheme, "x@0")
+    cohort = Cohort.from_rows(("x@0",), [("1.0",), (None,), ("7.2",), ("6.5",)])
+    values = numeric_column(cohort, "x@0")
+    assert bin_column(values, scheme).tolist() == [0, -1, 1, 1]
+    assert bin_column(values, scheme).tolist() == [
+        -1 if np.isnan(v) else apply_bins(v, scheme) for v in values]
+    with pytest.raises(NonFiniteValue):
+        bin_column(np.array([float("inf")]), scheme)
+    bad = Cohort.from_rows(("x@0",), [("1",), ("abc",)], ids=[4, 9])
+    with pytest.raises(DataError, match=r"record 9, column 'x@0': 'abc' is not numeric"):
+        numeric_column(bad, "x@0")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN "])
+def test_numeric_column_rejects_non_finite_cells(cell):
+    cohort = Cohort.from_rows(("x@0",), [("1",), (None,), (cell,)], ids=[0, 1, 5])
+    with pytest.raises(DataError, match=r"record 5, column 'x@0': .* is not a finite number"):
+        numeric_column(cohort, "x@0")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +190,7 @@ def test_bin_column():
 # ---------------------------------------------------------------------------
 
 def test_apply_plausibility_masks_and_logs():
-    cohort = Cohort(
+    cohort = Cohort.from_rows(
         columns=("egfr@0", "egfr@1", "age@entry"),
         rows=[("50", "900", "40"), ("-3", "60", "200"), (None, "70", "55")],
     )
@@ -195,14 +209,14 @@ def test_apply_plausibility_masks_and_logs():
 
 
 def test_apply_plausibility_ignores_unlisted_columns():
-    cohort = Cohort(columns=("other@0",), rows=[("1e9",)])
+    cohort = Cohort.from_rows(columns=("other@0",), rows=[("1e9",)])
     cleaned, changes = apply_plausibility(cohort, [PlausibilityRange("egfr", 0, 1)])
     assert cleaned.rows[0] == ("1e9",)
     assert changes == []
 
 
 def test_apply_plausibility_non_numeric():
-    cohort = Cohort(columns=("egfr@0",), rows=[("high",)], ids=np.array([7]))
+    cohort = Cohort.from_rows(columns=("egfr@0",), rows=[("high",)], ids=np.array([7]))
     with pytest.raises(DataError, match="record 7"):
         apply_plausibility(cohort, [PlausibilityRange("egfr", 0, 300)])
 

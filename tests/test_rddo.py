@@ -61,7 +61,7 @@ def _random_rows(rng, net, names, n, p_missing=0.4):
 
 def test_score_cohort_hand_values():
     net = confounded_triple()
-    cohort = Cohort(
+    cohort = Cohort.from_rows(
         columns=("z", "x", "y"),
         rows=[
             ("0", "1", "1"),     # P(y=1 | z=0, x=1) = 0.3
@@ -97,7 +97,7 @@ def test_score_cohort_excludes_impossible_evidence():
             "c": Cpt("c", ("b",), np.array([[0.8, 0.2], [0.3, 0.7]])),
         },
     )
-    cohort = Cohort(
+    cohort = Cohort.from_rows(
         columns=("a", "b", "c"),
         rows=[("0", "1", "0"), ("1", "1", "1")],
         ids=np.array([10, 11]),
@@ -110,7 +110,7 @@ def test_score_cohort_excludes_impossible_evidence():
 def test_score_cohort_memoizes_patterns():
     net = confounded_triple()
     rows = [("1", "1", "0")] * 500 + [("0", "0", "1")] * 500
-    cohort = Cohort(columns=("z", "x", "y"), rows=rows)
+    cohort = Cohort.from_rows(columns=("z", "x", "y"), rows=rows)
     result = score_cohort(net, cohort, t=0, outcome="y")
     scores = {r.score for r in result.records}
     assert len(scores) == 2  # two patterns, two distinct scores
@@ -120,7 +120,7 @@ def test_score_cohort_memoizes_patterns():
 def test_score_cohort_records_share_one_read_only_mapping_per_pattern():
     net = confounded_triple()
     rows = [("1", "1", "0"), ("0", None, "1"), ("1", "1", "1"), ("0", None, "0")]
-    result = score_cohort(net, Cohort(columns=("z", "x", "y"), rows=rows), t=0, outcome="y")
+    result = score_cohort(net, Cohort.from_rows(columns=("z", "x", "y"), rows=rows), t=0, outcome="y")
     first, second, third, fourth = (r.evidence for r in result.records)
     assert first is third and second is fourth and first is not second
     assert first == {"z": 1, "x": 1} and second == {"z": 0}
@@ -148,7 +148,7 @@ def test_score_cohort_groups_records_by_requisite_evidence(monkeypatch):
     net = chain_network()
     rows = [("0", "1", "1"), ("1", "1", "0"), (None, "1", "1"), ("1", "0", "0"), (None, "0", "1")]
     calls = _counting(monkeypatch, "posterior")
-    result = score_cohort(net, Cohort(columns=("a", "b", "c"), rows=rows), t=0, outcome="c")
+    result = score_cohort(net, Cohort.from_rows(columns=("a", "b", "c"), rows=rows), t=0, outcome="c")
     assert calls == [["b"]]
     for rec, row in zip(result.records, rows):
         b = int(row[1])
@@ -159,18 +159,18 @@ def test_score_cohort_groups_records_by_requisite_evidence(monkeypatch):
 
 def test_score_cohort_threshold_distance():
     net = confounded_triple()
-    cohort = Cohort(columns=("z", "x", "y"), rows=[("0", "1", "1")])
+    cohort = Cohort.from_rows(columns=("z", "x", "y"), rows=[("0", "1", "1")])
     result = score_cohort(net, cohort, t=0, outcome="y", threshold=0.5)
     assert result.records[0].distance == pytest.approx(0.2, abs=1e-12)
 
 
 def test_score_cohort_error_paths():
     net = confounded_triple()  # no outcomes declared on the plain triple
-    cohort = Cohort(columns=("z", "x", "y"), rows=[("0", "1", "1")])
+    cohort = Cohort.from_rows(columns=("z", "x", "y"), rows=[("0", "1", "1")])
     with pytest.raises(ConfigError, match="time point"):
         score_cohort(net, cohort, t=0)
     with pytest.raises(DataError, match="outcome"):
-        score_cohort(net, Cohort(columns=("z", "x"), rows=[("0", "1")]), t=0, outcome="y")
+        score_cohort(net, Cohort.from_rows(columns=("z", "x"), rows=[("0", "1")]), t=0, outcome="y")
 
 
 def test_score_cohort_evidence_respects_time_slices():
@@ -190,7 +190,7 @@ def test_score_cohort_matches_a_per_record_reference_loop(seed):
     net = with_structural_zeros(random_network(rng, min_nodes=3, max_nodes=7), rng)
     outcome = net.names[-1]
     codes = _random_rows(rng, net, net.names, int(rng.integers(1, 40)))
-    cohort = Cohort(
+    cohort = Cohort.from_rows(
         columns=net.names,
         rows=[tuple(None if s < 0 else net.var(c).states[s] for c, s in zip(net.names, row))
               for row in codes.tolist()],
@@ -972,7 +972,7 @@ def test_run_rd_do_rejects_unknown_cohort_column(tmp_path):
     model_path = tmp_path / "model.json"
     save_model(spec.network, model_path)
     cohort = sample_cohort(spec)
-    bad = Cohort(
+    bad = Cohort.from_rows(
         columns=cohort.columns[:-1] + ("intruder",),
         rows=cohort.rows,
         ids=cohort.ids,
