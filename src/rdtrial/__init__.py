@@ -12,7 +12,6 @@ from .errors import (
     CyclicGraph,
     DataError,
     DegenerateTable,
-    EmptyClass,
     EmptyParentConfiguration,
     EmptySample,
     IncompleteAssignment,
@@ -46,7 +45,6 @@ from .learning import (
     em_fit,
     mle_fit,
     stratified_split,
-    undersample,
 )
 from .model import (
     Cpt,
@@ -119,7 +117,7 @@ __all__ = [
     "log_evidence", "requisite", "dense_joint",
     "enumerate_posterior",
     # learning
-    "FitReport", "mle_fit", "em_fit", "stratified_split", "undersample",
+    "FitReport", "mle_fit", "em_fit", "stratified_split",
     # preprocess
     "PlausibilityRange", "apply_plausibility", "BinningScheme",
     "mdlp_cuts", "apply_bins", "bin_column", "numeric_column",
@@ -140,7 +138,7 @@ __all__ = [
     "RdTrialError", "InvalidModel", "CyclicGraph", "UnnormalizedCpt",
     "UnknownVariable", "UnknownState", "ZeroProbabilityEvidence", "InvalidQuery",
     "IncompleteAssignment", "EmptyParentConfiguration",
-    "NonFiniteLikelihood", "InsufficientPositives", "EmptyClass",
+    "NonFiniteLikelihood", "InsufficientPositives",
     "NonFiniteValue", "DegenerateTable", "EmptySample", "SingleClass",
     "TooFewRecords", "NoCausalPath", "TooLargeForEnumeration",
     "ConfigError", "DataError",

@@ -75,10 +75,6 @@ class InsufficientPositives(RdTrialError):
     """Stratified split cannot give every fold at least one positive."""
 
 
-class EmptyClass(RdTrialError):
-    """Undersampling needs at least one record in each outcome class."""
-
-
 # --- preprocessing ---
 
 class NonFiniteValue(RdTrialError):

@@ -17,7 +17,6 @@ import numpy as np
 
 from .cohort import Cohort, unique_rows
 from .errors import (
-    EmptyClass,
     EmptyParentConfiguration,
     IncompleteAssignment,
     InsufficientPositives,
@@ -77,8 +76,8 @@ def mle_fit(structure: DiscreteNetwork, cols: Columns, alpha: float = 1.0) -> Di
     ``cols`` maps every network variable to an int array of state indices;
     missing values (-1) raise IncompleteAssignment, use em_fit for those.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < np.inf:  # nan fails both comparisons
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     _check_columns(structure, cols)
     for name in structure.names:
         if np.any(cols[name] < 0):
@@ -183,8 +182,8 @@ def em_fit(
     alpha > 0, so no parent configuration is left completely unconstrained,
     and a column per variable of codes in [-1, card), -1 meaning missing.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < np.inf:  # nan fails both comparisons
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n_rows = len(next(iter(cols.values()))) if cols else 0
@@ -298,32 +297,3 @@ def stratified_split(
         fold[rng.permutation(members)] = np.repeat(np.arange(3), counts)
     train, valid, test = (cohort.subset(np.flatnonzero(fold == i)) for i in range(3))
     return train, valid, test
-
-
-def undersample(
-    cohort: Cohort,
-    outcome_nodes: list[str],
-    positive_state: str,
-    seed: int = 0,
-) -> Cohort:
-    """Balance classes 1:1 by downsampling the majority without replacement.
-
-    All minority-class records are kept. Raises EmptyClass when either class
-    is empty. Output rows are in ascending id order.
-    """
-    labels = outcome_labels(cohort, outcome_nodes, positive_state)
-    pos = np.nonzero(labels)[0]
-    neg = np.nonzero(~labels)[0]
-    if pos.size == 0 or neg.size == 0:
-        raise EmptyClass(
-            f"need both classes to balance, got {pos.size} positive / {neg.size} negative"
-        )
-    rng = np.random.default_rng(seed)
-    if pos.size <= neg.size:
-        keep_major = rng.choice(neg, size=pos.size, replace=False)
-        members = np.concatenate([pos, keep_major])
-    else:
-        keep_major = rng.choice(pos, size=neg.size, replace=False)
-        members = np.concatenate([keep_major, neg])
-    members.sort()
-    return cohort.subset(members)

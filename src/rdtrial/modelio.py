@@ -3,7 +3,7 @@
 Document schema (shared by plain networks and templates)::
 
     {
-      "kind": "network" | "unrolled" | "dbn_template",
+      "kind": "network" | "dbn_template",   # written, ignored on load
       "variables": [{"name": ..., "states": [...], "kind": ...,
                      "intervals": [[lo, hi], ...]?}, ...],
       "template": {"slice0_arcs": [[a, b], ...],
@@ -119,9 +119,9 @@ def _cpts_in(raw) -> dict[str, Cpt]:
     return out
 
 
-def network_to_dict(net: DiscreteNetwork, kind: str = "network") -> dict:
+def network_to_dict(net: DiscreteNetwork) -> dict:
     doc: dict[str, Any] = {
-        "kind": kind,
+        "kind": "network",
         "variables": _variables_out(net.variables),
         "arcs": [[a, b] for a, b in net.arcs],
         "cpts": _cpts_out(net.cpts),
@@ -197,17 +197,17 @@ def template_from_dict(doc: dict) -> DbnTemplate:
     )
 
 
-def dumps_model(obj: DiscreteNetwork | DbnTemplate, kind: str | None = None) -> str:
+def dumps_model(obj: DiscreteNetwork | DbnTemplate) -> str:
     """Deterministic JSON text for a network or template."""
     if isinstance(obj, DbnTemplate):
         doc = template_to_dict(obj)
     else:
-        doc = network_to_dict(obj, kind=kind or "network")
+        doc = network_to_dict(obj)
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
-def save_model(obj: DiscreteNetwork | DbnTemplate, path: str | Path, kind: str | None = None) -> None:
-    Path(path).write_text(dumps_model(obj, kind=kind), encoding="utf-8")
+def save_model(obj: DiscreteNetwork | DbnTemplate, path: str | Path) -> None:
+    Path(path).write_text(dumps_model(obj), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> DiscreteNetwork | DbnTemplate:

@@ -123,7 +123,8 @@ def _patterns_by_mask(
 
 
 def _evidence_codes(records: Sequence[ScoredRecord], names: Sequence[str]) -> np.ndarray:
-    """(records, names) code matrix of the records' evidence, -1 where absent.
+    """(records, names) code matrix of the records' evidence, -1 where absent,
+    for the window scan's covariates.
 
     Records that share a pattern share one evidence mapping (score_cohort),
     so each distinct mapping is read once.
@@ -366,7 +367,7 @@ class CategoryEffect:
     mean: float     # nan when every record failed
     std: float      # population std (ddof 0); nan when n = 0
     failures: int   # records whose query had zero-probability evidence
-    values: np.ndarray = field(repr=False)  # record-id order, read-only
+    values: np.ndarray = field(repr=False)  # window's record-id order, read-only
 
 
 @dataclass(frozen=True)
@@ -390,20 +391,23 @@ class EffectTable:
 
 def estimate_effects(
     net: DiscreteNetwork,
-    records: Sequence[ScoredRecord],
+    window: Cohort,
     variable: str,
     outcome: str,
     mode: str,
     t: int | None = None,
     positive_state: str | None = None,
 ) -> EffectTable:
-    """Per-category effect sample over the window records.
+    """Per-category effect sample over the window's records.
 
-    For each category x of the variable and each record, the evidence Z is
+    ``window`` holds the window's records, as score_cohort takes a cohort;
+    they are read in ascending record id, whatever their row order. For
+    each category x of the variable and each record, the evidence Z is
     the record's non-missing observations at slices up to the variable's
     own slice, minus the variable itself and minus every declared outcome
     node: later-slice observations are mediators of the intervention and
-    conditioning on them (or on any endpoint) would bias the effect.
+    conditioning on them (or on any endpoint) would bias the effect. A
+    model node the window has no column for is missing on every record.
     Causal mode computes P(outcome | do(variable=x), Z) on the mutilated
     graph and requires a directed path from variable to outcome;
     associational mode computes P(outcome | variable=x, Z). Records whose
@@ -430,17 +434,20 @@ def estimate_effects(
     s = slice_rank(variable)
     excluded = set(net.outcomes.values()) | {outcome, variable}
 
-    ordered = sorted(records, key=lambda r: r.record_id)
-    # a name no record observes is a column of -1, part of no mask
+    window = window.subset(np.argsort(window.ids, kind="stable"))
     names = [name for name in net.names if name not in excluded and slice_rank(name) <= s]
-    codes = _evidence_codes(ordered, names)
+    enc = encode_columns(net, window, [name for name in names if name in window.columns])
+    # a name the window has no column for is a column of -1, part of no mask
+    absent = np.full(len(window), -1)
+    codes = np.array([enc.get(name, absent) for name in names],
+                     dtype=np.int64).reshape(len(names), len(window)).T
     do = variable if mode == "causal" else None
 
     def reads(observed: list[str]) -> tuple[str, ...]:
         return requisite(net, outcome, [*observed, variable], do)[1]
 
     # per record and category; nan where the query evidence is impossible
-    values = np.empty((len(ordered), var.card))
+    values = np.empty((len(window), var.card))
     for rows, observed, pats, pat_of in _patterns_by_mask(codes, names, reads):
         # one batch row per (pattern, category), categories varying fastest
         ev = {name: np.repeat(pats[:, j], var.card) for j, name in enumerate(observed)}
@@ -577,6 +584,11 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
             raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
         return int(value)
 
+    def once_each(key: str, values: tuple, noun: str) -> tuple:
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{key} must not repeat {noun}, got {list(values)}")
+        return values
+
     model_path = str((base / need_str("model")).resolve())
     cohort_path = str((base / need_str("cohort")).resolve())
     out_dir = doc.get("out")
@@ -607,14 +619,13 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
         if not isinstance(time_points, (list, tuple)) or not time_points:
             raise ConfigError("time_points must be a non-empty list of integers")
         time_points = tuple(need_int("time_points", t) for t in time_points)
-        if len(set(time_points)) != len(time_points):
-            raise ConfigError(f"time_points must not repeat a time point, got {list(time_points)}")
+        once_each("time_points", time_points, "a time point")
 
     covariates = doc.get("covariates")
     if covariates is not None:
         if not isinstance(covariates, (list, tuple)):
             raise ConfigError("covariates must be a list of node names")
-        covariates = tuple(str(c) for c in covariates)
+        covariates = once_each("covariates", tuple(map(str, covariates)), "a covariate")
 
     variables = doc.get("variables", "all-prior")
     if isinstance(variables, str):
@@ -623,14 +634,14 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
                 f"variables must be 'all-prior' or a list, got {variables!r}"
             )
     elif isinstance(variables, (list, tuple)):
-        variables = tuple(str(v) for v in variables)
+        variables = once_each("variables", tuple(map(str, variables)), "a variable")
     else:
         raise ConfigError("variables must be 'all-prior' or a list of node names")
 
     modes = doc.get("modes", ["associational", "causal"])
     if not isinstance(modes, (list, tuple)) or not modes:
         raise ConfigError("modes must be a non-empty list")
-    modes = tuple(str(m) for m in modes)
+    modes = once_each("modes", tuple(map(str, modes)), "a mode")
     for m in modes:
         if m not in ("associational", "causal"):
             raise ConfigError(f"unknown mode {m!r}")
@@ -845,8 +856,7 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
         tables: list[EffectTable] = []
         rejected: list[RejectedQuery] = []
         if window is not None:
-            by_id = {r.record_id: r for r in scoring.records}
-            members = [by_id[int(rid)] for rid in window.member_ids]
+            members = test.subset(np.flatnonzero(np.isin(test.ids, window.member_ids)))
             for mode in config.modes:
                 mode_tables = []
                 for variable in variables_by_t[t]:

@@ -237,6 +237,21 @@ def test_rddo_rejects_a_repeated_time_point(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, noun", [
+    ("modes", ["causal", "causal"], "a mode"),
+    ("variables", ["treat@0", "treat@0"], "a variable"),
+    ("covariates", ["cov_a@0", "cov_b@0", "cov_a@0"], "a covariate"),
+])
+def test_rddo_rejects_a_repeated_list_entry(tmp_path, capsys, key, value, noun):
+    # a repeat would write its tables twice or test its covariate twice
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=30)
+    out = tmp_path / "out"
+    config_path = _write_config(tmp_path, model_path, cohort_path, out, **{key: value})
+    assert dispatch(["rddo", "--config", str(config_path)]) == 1
+    assert f"{key} must not repeat {noun}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rddo_cohort_naming_a_column_twice_exits_2(tmp_path, capsys):
     spec, model_path, _ = _write_scenario(tmp_path, n=30)
     cohort = sample_cohort(spec)
@@ -596,8 +611,10 @@ def _write_learn_inputs(tmp_path, arcs=()):
 @pytest.mark.parametrize("arcs, extra, message", [
     ([], ["--alpha", "-1"], "alpha"),
     ([], ["--max-iter", "0", "--alpha", "1"], "max_iter"),
+    ([], ["--alpha", "nan"], "alpha must be finite"),
+    ([], ["--alpha", "inf"], "alpha must be finite"),
     ([["a", "b", "c"]], [], "[parent, child]"),
-], ids=["negative-alpha", "zero-max-iter", "three-element-arc"])
+], ids=["negative-alpha", "zero-max-iter", "nan-alpha", "inf-alpha", "three-element-arc"])
 def test_learn_bad_arguments_exit_1(tmp_path, capsys, arcs, extra, message):
     assert dispatch(_write_learn_inputs(tmp_path, arcs) + extra) == 1
     assert message in capsys.readouterr().err

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from rdtrial.cohort import Cohort
 from rdtrial.errors import (
-    EmptyClass,
     EmptyParentConfiguration,
     IncompleteAssignment,
     InsufficientPositives,
@@ -26,7 +25,6 @@ from rdtrial.learning import (
     mle_fit,
     outcome_labels,
     stratified_split,
-    undersample,
 )
 from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
 from rdtrial.synth import confounded_triple, make_confounded_scenario
@@ -363,6 +361,14 @@ def test_em_rejects_bad_arguments():
         em_fit(net, {"x": np.array([0, -1]), "y": np.array([0, 1])}, alpha=1.0, max_iter=0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+@pytest.mark.parametrize("fit", [em_fit, mle_fit])
+def test_fits_reject_a_non_finite_alpha(fit, alpha):
+    # nan passes an alpha < 0 check and would write NaN into every CPT
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        fit(_xy_structure(), {"x": np.array([0, 1]), "y": np.array([1, 0])}, alpha=alpha)
+
+
 def test_fits_reject_bad_columns():
     # -1 is the only missing code; em_fit used to read -2 as missing and to
     # raise KeyError or IndexError on the other probes
@@ -418,17 +424,6 @@ def test_stratified_split_fraction_validation():
         stratified_split(cohort, ["y@1"], "yes", (0.5, 0.2, 0.2))
     with pytest.raises(ValueError):
         stratified_split(cohort, ["y@1"], "yes", (1.0, 0.0, 0.0))
-
-
-def test_undersample_balances_classes():
-    cohort = _labelled_cohort(2, 6)
-    balanced = undersample(cohort, ["y@1"], "yes", seed=3)
-    labels = outcome_labels(balanced, ["y@1"], "yes")
-    assert len(balanced) == 4
-    assert int(labels.sum()) == 2
-    assert np.all(np.diff(balanced.ids) > 0)
-    with pytest.raises(EmptyClass):
-        undersample(_labelled_cohort(0, 5), ["y@1"], "yes")
 
 
 def test_outcome_labels_multiple_nodes():

@@ -556,14 +556,20 @@ def test_select_window_equals_the_reference_loop(columns):
 # effect estimation
 # ---------------------------------------------------------------------------
 
+def _window(net, evidence, ids=None):
+    """Window cohort of records given as {node: state index} maps: one
+    column per node some record observes, labels in state order."""
+    columns = [name for name in net.names if any(name in ev for ev in evidence)]
+    codes = np.array([[ev.get(c, -1) for c in columns] for ev in evidence],
+                     dtype=np.int64).reshape(len(evidence), len(columns))
+    return Cohort(columns, codes, [net.var(c).states for c in columns], ids)
+
+
 def test_estimate_effects_with_observed_confounder():
     # Z in evidence blocks the back door: per-record causal and
     # associational values coincide and depend on the record's z
     net = confounded_triple()
-    records = [
-        ScoredRecord(record_id=0, evidence={"z": 0}, label=False, score=0.2),
-        ScoredRecord(record_id=1, evidence={"z": 1}, label=True, score=0.7),
-    ]
+    records = _window(net, [{"z": 0}, {"z": 1}])
     assoc = estimate_effects(net, records, "x", "y", "associational", t=1)
     causal = estimate_effects(net, records, "x", "y", "causal", t=1)
     for table in (assoc, causal):
@@ -579,10 +585,7 @@ def test_estimate_effects_with_latent_confounder():
     # Z unobserved: the two modes disagree by exactly the designed bias and
     # every record gets the same constant value (std exactly zero)
     net = confounded_triple()
-    records = [
-        ScoredRecord(record_id=i, evidence={}, label=False, score=0.5)
-        for i in range(8)
-    ]
+    records = _window(net, [{}] * 8)
     assoc = estimate_effects(net, records, "x", "y", "associational", t=1)
     causal = estimate_effects(net, records, "x", "y", "causal", t=1)
     assert assoc.categories[1].mean == pytest.approx(0.62, abs=1e-12)
@@ -611,11 +614,7 @@ def test_estimate_effects_failure_conservation():
             "y": Cpt("y", ("x",), np.array([[0.8, 0.2], [0.3, 0.7]])),
         },
     )
-    records = [
-        ScoredRecord(record_id=0, evidence={"z": 0}, label=False, score=0.2),
-        ScoredRecord(record_id=1, evidence={"z": 0}, label=False, score=0.2),
-        ScoredRecord(record_id=2, evidence={"z": 1}, label=True, score=0.7),
-    ]
+    records = _window(net, [{"z": 0}, {"z": 0}, {"z": 1}])
     assoc = estimate_effects(net, records, "x", "y", "associational", t=1)
     by_cat = {c.category: c for c in assoc.categories}
     assert by_cat["1"].failures == 2 and by_cat["1"].n == 1
@@ -628,15 +627,16 @@ def test_estimate_effects_failure_conservation():
         assert cat.failures == 0 and cat.n == 3
 
 
-def _reference_effects(net, records, variable, outcome, mode):
-    """The per-record loop: one scalar query per (record, category)."""
+def _reference_effects(net, window, variable, outcome, mode):
+    """The per-record loop: one scalar query per (record, category), on
+    evidence read from the window's labels in record-id order."""
     pos = net.card(outcome) - 1
     excluded = set(net.outcomes.values()) | {outcome, variable}
     rank = slice_rank(variable)
     values = [[] for _ in range(net.card(variable))]
-    for rec in sorted(records, key=lambda r: r.record_id):
-        ev = {n: s for n, s in rec.evidence.items()
-              if n not in excluded and slice_rank(n) <= rank}
+    for _, row in sorted(zip(window.ids.tolist(), window.rows)):
+        ev = {n: net.state_index(n, label) for n, label in zip(window.columns, row)
+              if label is not None and n in net and n not in excluded and slice_rank(n) <= rank}
         for x, out in enumerate(values):
             try:
                 if mode == "causal":
@@ -648,6 +648,21 @@ def _reference_effects(net, records, variable, outcome, mode):
     return values
 
 
+def _assert_matches_reference(table, want):
+    for cat, vals in zip(table.categories, want):
+        arr = np.array([v for v in vals if v is not None], dtype=np.float64)
+        assert cat.n == arr.size and cat.failures == vals.count(None)
+        assert cat.values.tolist() == arr.tolist()
+        if arr.size:
+            assert (cat.mean, cat.std) == (float(arr.mean()), float(arr.std()))
+        else:
+            assert np.isnan(cat.mean) and np.isnan(cat.std)
+
+
+def _modes(net, variable, outcome):
+    return ["associational"] + (["causal"] if has_directed_path(net, variable, outcome) else [])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_estimate_effects_matches_a_per_record_reference_loop(seed):
@@ -655,23 +670,38 @@ def test_estimate_effects_matches_a_per_record_reference_loop(seed):
     net = with_structural_zeros(random_network(rng, min_nodes=3, max_nodes=7), rng)
     variable, outcome = (net.names[int(i)] for i in rng.choice(len(net.names), 2, replace=False))
     codes = _random_rows(rng, net, net.names, int(rng.integers(1, 30)))
-    records = [
-        ScoredRecord(record_id=int(rid), evidence={c: s for c, s in zip(net.names, row) if s >= 0},
-                     label=False, score=0.5)
-        for rid, row in zip(rng.permutation(len(codes)), codes.tolist())
-    ]
-    modes = ["associational"] + (["causal"] if has_directed_path(net, variable, outcome) else [])
-    for mode in modes:
+    records = Cohort(net.names, codes, [v.states for v in net.variables],
+                     rng.permutation(len(codes)))
+    for mode in _modes(net, variable, outcome):
         table = estimate_effects(net, records, variable, outcome, mode, t=1)
         want = _reference_effects(net, records, variable, outcome, mode)
-        for cat, vals in zip(table.categories, want):
-            arr = np.array([v for v in vals if v is not None], dtype=np.float64)
-            assert cat.n == arr.size and cat.failures == vals.count(None)
-            assert cat.values.tolist() == arr.tolist()
-            if arr.size:
-                assert (cat.mean, cat.std) == (float(arr.mean()), float(arr.std()))
-            else:
-                assert np.isnan(cat.mean) and np.isnan(cat.std)
+        _assert_matches_reference(table, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_estimate_effects_on_random_window_cohorts_matches_the_reference_loop(data):
+    # the window holds some model nodes as columns, in any order and with
+    # labels in any order, plus a column the model lacks; its ids are
+    # sparse and out of row order, and cells are missing or repeat
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    net = with_structural_zeros(random_network(rng, min_nodes=3, max_nodes=7), rng)
+    variable, outcome = data.draw(st.permutations(net.names))[:2]
+    columns = data.draw(st.lists(st.sampled_from(net.names), unique=True))
+    n = data.draw(st.integers(1, 30))
+    ids = data.draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n, unique=True))
+    states = _random_rows(rng, net, columns, n)
+    labels, codes = [], np.full((n, len(columns) + 1), -1)
+    for j, name in enumerate(columns):
+        perm = data.draw(st.permutations(range(net.card(name))))
+        labels.append([net.var(name).states[i] for i in perm])
+        held = states[:, j] >= 0
+        codes[held, j] = np.argsort(perm)[states[held, j]]
+    codes[:, -1] = rng.integers(-1, 2, n)
+    window = Cohort([*columns, "not-a-node"], codes, [*labels, ("u", "v")], ids)
+    for mode in _modes(net, variable, outcome):
+        table = estimate_effects(net, window, variable, outcome, mode, t=1)
+        _assert_matches_reference(table, _reference_effects(net, window, variable, outcome, mode))
 
 
 @pytest.mark.parametrize("mode, query", [("causal", "do_posterior"),
@@ -680,8 +710,7 @@ def test_estimate_effects_groups_records_by_requisite_evidence(monkeypatch, mode
     # on a -> b -> c, both do(b = x) and b = x cut a off from c: records
     # that differ only in a share one query
     net = chain_network()
-    records = [ScoredRecord(record_id=i, evidence=ev, label=False, score=0.5)
-               for i, ev in enumerate([{"a": 0}, {"a": 1}, {}, {"a": 1}])]
+    records = _window(net, [{"a": 0}, {"a": 1}, {}, {"a": 1}])
     calls = _counting(monkeypatch, query)
     table = estimate_effects(net, records, "b", "c", mode, t=1)
     assert len(calls) == 1 and "a" not in calls[0]
@@ -700,13 +729,8 @@ def test_estimate_effects_accounts_for_every_record_on_structural_zeros(seed):
                                                random_network(rng, min_nodes=1, max_nodes=3)), rng)
     variable, outcome = (net.names[int(i)] for i in rng.choice(len(net.names), 2, replace=False))
     codes = _random_rows(rng, net, net.names, int(rng.integers(1, 25)))
-    records = [
-        ScoredRecord(record_id=i, evidence={c: s for c, s in zip(net.names, row) if s >= 0},
-                     label=False, score=0.5)
-        for i, row in enumerate(codes.tolist())
-    ]
-    modes = ["associational"] + (["causal"] if has_directed_path(net, variable, outcome) else [])
-    for mode in modes:
+    records = Cohort(net.names, codes, [v.states for v in net.variables])
+    for mode in _modes(net, variable, outcome):
         table = estimate_effects(net, records, variable, outcome, mode, t=1)
         want = _reference_effects(net, records, variable, outcome, mode)
         for cat, vals in zip(table.categories, want):
@@ -716,7 +740,7 @@ def test_estimate_effects_accounts_for_every_record_on_structural_zeros(seed):
 
 def test_estimate_effects_rejects_bad_queries():
     net = confounded_triple()
-    records = [ScoredRecord(record_id=0, evidence={}, label=False, score=0.5)]
+    records = _window(net, [{}])
     with pytest.raises(ValueError, match="mode"):
         estimate_effects(net, records, "x", "y", "acausal", t=1)
     # y itself cannot precede y
@@ -726,7 +750,7 @@ def test_estimate_effects_rejects_bad_queries():
 
 def test_estimate_effects_no_causal_path():
     spec = make_confounded_scenario(n=10)
-    records = [ScoredRecord(record_id=0, evidence={}, label=False, score=0.5)]
+    records = _window(spec.network, [{}])
     with pytest.raises(NoCausalPath):
         estimate_effects(spec.network, records, "noise@0", spec.outcome, "causal")
     # associational mode still answers (flat, but defined)
@@ -740,14 +764,7 @@ def test_estimate_effects_drops_later_slice_evidence():
     # result matches a query conditioned on the slice-0 values only
     spec = make_confounded_scenario(n=10)
     net = spec.network
-    records = [
-        ScoredRecord(
-            record_id=0,
-            evidence={"cov_a@0": 2, "shift_a@1": 0, spec.outcome: 1},
-            label=True,
-            score=0.6,
-        )
-    ]
+    records = _window(net, [{"cov_a@0": 2, "shift_a@1": 0, spec.outcome: 1}])
     table = estimate_effects(net, records, "treat@0", spec.outcome, "associational")
     yes = net.state_index("treat@0", "yes")
     want = posterior(net, spec.outcome, {"treat@0": yes, "cov_a@0": 2})[1]
@@ -756,10 +773,7 @@ def test_estimate_effects_drops_later_slice_evidence():
 
 def test_estimate_effects_record_order_is_by_id():
     net = confounded_triple()
-    records = [
-        ScoredRecord(record_id=5, evidence={"z": 1}, label=True, score=0.7),
-        ScoredRecord(record_id=2, evidence={"z": 0}, label=False, score=0.2),
-    ]
+    records = _window(net, [{"z": 1}, {"z": 0}], ids=[5, 2])
     table = estimate_effects(net, records, "x", "y", "associational", t=1)
     np.testing.assert_allclose(table.categories[1].values, [0.3, 0.7], atol=1e-12)
 
