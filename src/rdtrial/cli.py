@@ -272,8 +272,10 @@ def _parse_assignments(text: str) -> dict[str, str]:
     for chunk in text.split(","):
         if "=" not in chunk:
             raise ConfigError(f"bad assignment {chunk!r}, expected name=state")
-        name, state = chunk.split("=", 1)
-        out[name.strip()] = state.strip()
+        name, state = (part.strip() for part in chunk.split("=", 1))
+        if name in out:
+            raise ConfigError(f"{name!r} is assigned twice in {text!r}")
+        out[name] = state
     return out
 
 
@@ -358,13 +360,10 @@ def _cmd_learn(args) -> int:
     for col in cohort.columns:
         if col not in structure:
             raise DataError(f"cohort column {col!r} is not a model variable")
-    from .cohort import encode_columns
-    cols = encode_columns(structure, cohort)
-    for name in structure.names:
-        if name not in cols:
-            cols[name] = np.full(len(cohort), -1, dtype=np.int64)
+    from .cohort import encode_columns  # looked up in rdtrial.cohort per call
+    codes = encode_columns(structure, cohort, structure.names)
     try:
-        fitted, fit = em_fit(structure, cols, alpha=args.alpha, max_iter=args.max_iter)
+        fitted, fit = em_fit(structure, codes, alpha=args.alpha, max_iter=args.max_iter)
     except ValueError as exc:  # em_fit's argument checks
         raise ConfigError(str(exc)) from exc
     save_model(fitted, args.out)

@@ -149,37 +149,34 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
         writer.writerows(_label_rows(cohort))
 
 
-def encode_columns(
-    net: DiscreteNetwork,
-    cohort: Cohort,
-    columns: Iterable[str] | None = None,
-    source: str = "cohort",
-) -> dict[str, np.ndarray]:
-    """Encode cohort columns as int arrays of state indices; -1 is missing.
+def encode_columns(net: DiscreteNetwork, cohort: Cohort, names: Sequence[str]) -> np.ndarray:
+    """The (records, names) int64 matrix of state indices: column i holds
+    network node ``names[i]``, and -1 is a missing cell. Every cell of a
+    node the cohort has no column for is -1.
 
-    Columns default to every cohort column that names a network node. Each
-    column's labels map to the variable's states once, then one take maps
-    the codes. UnknownState names the first record (in cohort order) of the
-    first column that holds a label that is not a state: its id and column.
+    Each column's labels map to the variable's states once, then one take
+    maps the codes. UnknownState names the first record (in cohort order)
+    of the first of ``names`` that holds a label that is not a state: its
+    id and column.
     """
-    if columns is None:
-        columns = [c for c in cohort.columns if c in net]
-    out: dict[str, np.ndarray] = {}
-    for name in columns:
+    out = np.full((len(cohort), len(names)), -1, dtype=np.int64)
+    for i, name in enumerate(names):
         var = net.var(name)
+        if name not in cohort.columns:
+            continue
         j = cohort.col_index(name)
-        lut = {s: i for i, s in enumerate(var.states)}
+        lut = {s: k for k, s in enumerate(var.states)}
         # -2 marks a label that is no state; the trailing -1 is what a
         # missing cell's code -1 picks
         state = np.array([lut.get(label, -2) for label in cohort.labels[j]] + [-1],
                          dtype=np.int64)
-        out[name] = state[cohort.codes[:, j]]
+        out[:, i] = state[cohort.codes[:, j]]
         if -2 in state:  # raise if a record holds that label
-            held = np.flatnonzero(out[name] == -2)
+            held = np.flatnonzero(out[:, i] == -2)
             if held.size:
                 r = held[0]
                 raise UnknownState(
-                    f"{source}: record {int(cohort.ids[r])}, column {name!r}: state "
+                    f"cohort: record {int(cohort.ids[r])}, column {name!r}: state "
                     f"{cohort.labels[j][cohort.codes[r, j]]!r} is not one of {list(var.states)}"
                 )
     return out

@@ -265,7 +265,6 @@ def _eliminate_all(
     net: DiscreteNetwork,
     keep: set[int],
     evidence: Mapping[str, int | np.ndarray] | np.ndarray,
-    elimination_order: Sequence[str] | None = None,
     families: Sequence[tuple[int, ...]] | None = None,
     cpts: Sequence[str] | None = None,
 ) -> tuple[np.ndarray | list[np.ndarray], np.ndarray, tuple[int, ...]]:
@@ -283,9 +282,8 @@ def _eliminate_all(
 
     ``cpts`` names the CPTs to build, every one by default (log P then
     covers only those); every kept variable's own CPT must be among them.
-    Only the variables the built factors mention are eliminated. An explicit
-    ``elimination_order`` must name every non-kept, non-evidence variable of
-    the network once, and is then cut down to those.
+    Only the variables the built factors mention are eliminated, in
+    min-degree order.
 
     Family mode (``families`` given; a code matrix, nothing kept) calibrates
     the elimination's clique tree and returns, in place of the table, one
@@ -318,14 +316,7 @@ def _eliminate_all(
             scale, expo = _fold(scale, expo, f.table)
 
     to_eliminate = {v for f in live for v in f.vars} - keep
-
-    if elimination_order is not None:
-        order = [net.index(n) for n in elimination_order]
-        if sorted(order) != sorted(set(range(len(cards))) - keep - {net.index(n) for n in ev}):
-            raise ValueError("elimination_order must name each non-kept, non-evidence variable exactly once")
-        order = [v for v in order if v in to_eliminate]
-    else:
-        order = _min_degree_order([f.vars for f in live], to_eliminate)
+    order = _min_degree_order([f.vars for f in live], to_eliminate)
 
     steps: list[tuple[_Factor, _Factor | None]] = []  # (product, message) per v
     for v in order:
@@ -431,7 +422,6 @@ def _query(
     target: str,
     ev: dict[str, int | np.ndarray],
     intervention: str | None = None,
-    elimination_order: Sequence[str] | None = None,
 ) -> Posterior:
     """P(target | ev) on the query's requisite CPTs; ev has passed
     check_evidence and holds the intervention's state when there is one."""
@@ -439,7 +429,7 @@ def _query(
     if target in ev:
         raise InvalidQuery(f"target {target!r} must not appear in evidence")
     cpts, _ = requisite(net, target, ev, intervention)
-    probs, log_p, _ = _eliminate_all(net, {net.index(target)}, ev, elimination_order, cpts=cpts)
+    probs, log_p, _ = _eliminate_all(net, {net.index(target)}, ev, cpts=cpts)
     if _batched(ev):
         probs[log_p == -math.inf] = math.nan
     elif log_p[0] == -math.inf:
@@ -453,7 +443,6 @@ def posterior(
     net: DiscreteNetwork,
     target: str,
     evidence: Evidence | None = None,
-    elimination_order: Sequence[str] | None = None,
 ) -> Posterior:
     """Exact P(target | evidence) by variable elimination.
 
@@ -461,12 +450,9 @@ def posterior(
     nan on rows whose evidence has probability zero. A scalar query raises
     ZeroProbabilityEvidence instead. UnknownVariable/UnknownState flag bad
     references; InvalidQuery an observed target. Only the requisite CPTs
-    are built. The optional elimination_order is for tests of order
-    independence: it names every non-target, non-evidence variable of the
-    network, and the variables outside the requisite CPTs are skipped.
+    are built.
     """
-    return _query(net, target, check_evidence(net, evidence or {}),
-                  elimination_order=elimination_order)
+    return _query(net, target, check_evidence(net, evidence or {}))
 
 
 def do_posterior(

@@ -26,8 +26,6 @@ from .errors import (
 from .model import Cpt, DiscreteNetwork
 from . import inference
 
-Columns = dict[str, np.ndarray]  # state indices per node; -1 means missing
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -60,36 +58,45 @@ def _counts_to_cpt(child: str, parents: tuple[str, ...], counts: np.ndarray, alp
     return Cpt(child=child, parents=parents, rows=counts / totals)
 
 
-def _check_columns(structure: DiscreteNetwork, cols: Columns) -> None:
-    """Every variable needs a column of codes in [-1, card)."""
-    for v in structure.variables:
-        if v.name not in cols:
-            raise IncompleteAssignment(f"column for variable {v.name!r} is missing")
-        col = cols[v.name]
-        if np.size(col) and not -1 <= np.min(col) <= np.max(col) < v.card:
-            raise UnknownState(f"column {v.name!r} holds codes outside -1..{v.card - 1}")
+def _check_codes(structure: DiscreteNetwork, codes: np.ndarray) -> None:
+    """An integer (records, variables) matrix, codes in [-1, card) per column."""
+    names = structure.names
+    if codes.ndim != 2 or codes.shape[1] != len(names):
+        raise IncompleteAssignment(
+            f"codes must be (records, {len(names)}), a column per variable, got {codes.shape}")
+    if codes.dtype.kind not in "iu":
+        raise UnknownState(f"codes must be integer state indices, got dtype {codes.dtype}")
+    cards = np.array([v.card for v in structure.variables])
+    bad = (codes.min(axis=0, initial=0) < -1) | (codes.max(axis=0, initial=0) >= cards)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise UnknownState(f"column {names[j]!r} holds codes outside -1..{cards[j] - 1}")
 
 
-def mle_fit(structure: DiscreteNetwork, cols: Columns, alpha: float = 1.0) -> DiscreteNetwork:
+def mle_fit(structure: DiscreteNetwork, codes: np.ndarray, alpha: float = 1.0) -> DiscreteNetwork:
     """Closed-form (smoothed) maximum-likelihood fit on complete rows.
 
-    ``cols`` maps every network variable to an int array of state indices;
-    missing values (-1) raise IncompleteAssignment, use em_fit for those.
+    ``codes`` is the (records, variables) matrix of state indices, a column
+    per network variable in network order (``encode_columns`` with
+    ``structure.names``); missing values (-1) raise IncompleteAssignment,
+    use em_fit for those.
     """
     if not 0 <= alpha < np.inf:  # nan fails both comparisons
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    _check_columns(structure, cols)
-    for name in structure.names:
-        if np.any(cols[name] < 0):
-            raise IncompleteAssignment(
-                f"column {name!r} contains missing values; mle_fit needs complete rows"
-            )
+    codes = np.asarray(codes)
+    _check_codes(structure, codes)
+    holes = np.flatnonzero((codes < 0).any(axis=0))
+    if holes.size:
+        raise IncompleteAssignment(
+            f"column {structure.names[holes[0]]!r} contains missing values; "
+            f"mle_fit needs complete rows"
+        )
     cpts: dict[str, Cpt] = {}
     for v in structure.variables:
         old = structure.cpts[v.name]
         family = (*old.parents, v.name)
         counts = np.zeros([structure.card(f) for f in family])
-        np.add.at(counts, tuple(cols[f] for f in family), 1.0)
+        np.add.at(counts, tuple(codes[:, structure.index(f)] for f in family), 1.0)
         cpts[v.name] = _counts_to_cpt(v.name, old.parents, counts, alpha)
     return DiscreteNetwork(structure.variables, structure.arcs, cpts, structure.outcomes)
 
@@ -111,18 +118,19 @@ def _initial_network(structure: DiscreteNetwork, init: str) -> DiscreteNetwork:
 
 
 def _collapse_patterns(
-    net: DiscreteNetwork, cols: Columns
+    net: DiscreteNetwork, codes: np.ndarray
 ) -> tuple[list[dict[str, int]], np.ndarray, np.ndarray]:
-    """Distinct observation patterns, their multiplicities and code matrix.
+    """Distinct observation patterns of a (records, variables) code matrix,
+    their multiplicities and their own code matrix.
 
     Patterns come in the lexicographic order of their code rows (-1 =
     missing), the order np.unique(axis=0) gives.
     """
     names = list(net.names)
-    codes, pattern_of = unique_rows(np.stack([cols[n] for n in names], axis=1))
-    patterns = [{n: s for n, s in zip(names, row) if s >= 0} for row in codes.tolist()]
-    counts = np.bincount(pattern_of, minlength=len(codes))
-    return patterns, counts.astype(np.float64), codes
+    distinct, pattern_of = unique_rows(codes)
+    patterns = [{n: s for n, s in zip(names, row) if s >= 0} for row in distinct.tolist()]
+    counts = np.bincount(pattern_of, minlength=len(distinct))
+    return patterns, counts.astype(np.float64), distinct
 
 
 def _expected_counts(
@@ -158,7 +166,7 @@ def _expected_counts(
 
 def em_fit(
     structure: DiscreteNetwork,
-    cols: Columns,
+    codes: np.ndarray,
     alpha: float = 0.0,
     init: str = "uniform",
     max_iter: int = 200,
@@ -179,30 +187,31 @@ def em_fit(
     hair of raw likelihood for prior mass, so the default stays at plain EM.
 
     Requires every variable to be observed in at least one row, or
-    alpha > 0, so no parent configuration is left completely unconstrained,
-    and a column per variable of codes in [-1, card), -1 meaning missing.
+    alpha > 0, so no parent configuration is left completely unconstrained.
+    ``codes`` is the (records, variables) matrix of state indices, a column
+    per variable in network order, -1 meaning missing.
     """
     if not 0 <= alpha < np.inf:  # nan fails both comparisons
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    n_rows = len(next(iter(cols.values()))) if cols else 0
-    if n_rows == 0:
+    codes = np.asarray(codes)
+    _check_codes(structure, codes)
+    if len(codes) == 0:
         raise ValueError("em_fit needs at least one row")
-    _check_columns(structure, cols)
     if alpha == 0.0:
-        never = [n for n in structure.names if not np.any(cols[n] >= 0)]
+        never = [n for n, seen in zip(structure.names, (codes >= 0).any(axis=0)) if not seen]
         if never:
             raise EmptyParentConfiguration(
                 f"variables never observed and alpha = 0: {never}"
             )
 
-    patterns, weights, codes = _collapse_patterns(structure, cols)
-    if np.all(codes >= 0):
+    patterns, weights, distinct = _collapse_patterns(structure, codes)
+    if np.all(distinct >= 0):
         # identical code path to mle_fit, bit-for-bit; every pattern is
         # hard evidence on one mask, so one batched query scores them all
-        fitted = mle_fit(structure, cols, alpha=alpha)
-        ev = {n: codes[:, j] for j, n in enumerate(structure.names)}
+        fitted = mle_fit(structure, codes, alpha=alpha)
+        ev = {n: distinct[:, j] for j, n in enumerate(structure.names)}
         ll = float(np.dot(weights, inference.log_evidence(fitted, ev)))
         return fitted, FitReport(
             iterations=1, log_likelihood=(ll,), converged=True, final_delta=0.0
@@ -214,7 +223,7 @@ def em_fit(
     delta = float("inf")
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        counts, per_pattern = _expected_counts(net, codes, weights)
+        counts, per_pattern = _expected_counts(net, distinct, weights)
         trace.append(float(np.dot(weights, per_pattern)))
 
         new_cpts: dict[str, Cpt] = {}

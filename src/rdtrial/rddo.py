@@ -172,9 +172,7 @@ def score_cohort(
         if c in net and c != outcome and slice_rank(c) <= t
     ]
     enc = encode_columns(net, cohort, [*ev_cols, outcome])
-    out_codes = enc[outcome]
-
-    codes = np.array([enc[c] for c in ev_cols], dtype=np.int64).reshape(len(ev_cols), len(cohort)).T
+    codes, out_codes = enc[:, :-1], enc[:, -1]
     labeled = np.flatnonzero(out_codes >= 0)
     distinct, of = unique_rows(codes[labeled])
     pattern = np.full(len(cohort), -1)
@@ -436,11 +434,8 @@ def estimate_effects(
 
     window = window.subset(np.argsort(window.ids, kind="stable"))
     names = [name for name in net.names if name not in excluded and slice_rank(name) <= s]
-    enc = encode_columns(net, window, [name for name in names if name in window.columns])
     # a name the window has no column for is a column of -1, part of no mask
-    absent = np.full(len(window), -1)
-    codes = np.array([enc.get(name, absent) for name in names],
-                     dtype=np.int64).reshape(len(names), len(window)).T
+    codes = encode_columns(net, window, names)
     do = variable if mode == "causal" else None
 
     def reads(observed: list[str]) -> tuple[str, ...]:
@@ -584,9 +579,10 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
             raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
         return int(value)
 
-    def once_each(key: str, values: tuple, noun: str) -> tuple:
+    def once_each(key: str, values: tuple, noun: str, given: list | None = None) -> tuple:
+        # given: the entries as the config spells them, when they differ
         if len(set(values)) != len(values):
-            raise ConfigError(f"{key} must not repeat {noun}, got {list(values)}")
+            raise ConfigError(f"{key} must not repeat {noun}, got {given or list(values)}")
         return values
 
     model_path = str((base / need_str("model")).resolve())
@@ -655,11 +651,10 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
     elif isinstance(thresholds, Mapping):
         # JSON object keys are strings: "1" names time point 1; a key of 20 or
         # more digits names none, and int() refuses keys past 4300 digits
-        thresholds = {
-            need_int("thresholds", int(k) if isinstance(k, str) and k.isdecimal()
-                     and len(k) < 20 else k): need_float("thresholds", v)
-            for k, v in thresholds.items()
-        }
+        ts = tuple(need_int("thresholds", int(k) if isinstance(k, str) and k.isdecimal()
+                            and len(k) < 20 else k) for k in thresholds)
+        once_each("thresholds", ts, "a time point", list(thresholds))
+        thresholds = {t: need_float("thresholds", v) for t, v in zip(ts, thresholds.values())}
     else:
         raise ConfigError("thresholds must be 'youden' or a map of t to threshold")
 

@@ -317,27 +317,27 @@ def reference_read_cohort_rows(path: str | Path) -> tuple[tuple[str, ...], list[
     return columns, rows
 
 
-def reference_encode_columns(net: DiscreteNetwork, columns, rows, ids, names,
-                             source: str = "cohort") -> dict[str, np.ndarray]:
+def reference_encode_columns(net: DiscreteNetwork, columns, rows, ids, names) -> np.ndarray:
     """Reference oracle for ``encode_columns``: a state lookup per cell,
-    column by column; the first unknown label raises UnknownState."""
-    out = {}
-    for name in names:
+    name by name into a (records, names) matrix; a name the columns lack
+    stays -1, and the first unknown label raises UnknownState."""
+    out = np.full((len(rows), len(names)), -1, dtype=np.int64)
+    for j, name in enumerate(names):
         var = net.var(name)
+        if name not in columns:
+            continue
         lut = {s: i for i, s in enumerate(var.states)}
         ci = columns.index(name)
-        arr = np.full(len(rows), -1, dtype=np.int64)
         for r, row in enumerate(rows):
             cell = row[ci]
             if cell is None:
                 continue
             if cell not in lut:
                 raise UnknownState(
-                    f"{source}: record {int(ids[r])}, column {name!r}: "
+                    f"cohort: record {int(ids[r])}, column {name!r}: "
                     f"state {cell!r} is not one of {list(var.states)}"
                 )
-            arr[r] = lut[cell]
-        out[name] = arr
+            out[r, j] = lut[cell]
     return out
 
 

@@ -115,11 +115,11 @@ def _sample_triple_columns(rng, n, mcar=0.0):
     flat = dense_joint(net).reshape(-1)
     draws = rng.choice(flat.size, size=n, p=flat)
     states = np.array(np.unravel_index(draws, (2, 2, 2))).T
-    cols = {name: states[:, i].astype(np.int64) for i, name in enumerate(net.names)}
+    codes = states.astype(np.int64)  # a column per variable, in network order
     if mcar:
-        for name in cols:
-            cols[name] = np.where(rng.random(n) < mcar, -1, cols[name])
-    return net, cols
+        for j in range(codes.shape[1]):
+            codes[rng.random(n) < mcar, j] = -1
+    return net, codes
 
 
 def test_acceptance_3_em_learning():

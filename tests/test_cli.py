@@ -237,6 +237,18 @@ def test_rddo_rejects_a_repeated_time_point(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rddo_rejects_two_threshold_keys_for_one_time_point(tmp_path, capsys):
+    # "1" and "01" both name t = 1; the later one used to win unnoticed
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=30)
+    out = tmp_path / "out"
+    config_path = _write_config(tmp_path, model_path, cohort_path, out,
+                                thresholds={"1": 0.4, "01": 0.6})
+    assert dispatch(["rddo", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert "thresholds must not repeat a time point" in err and "'1'" in err and "'01'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, noun", [
     ("modes", ["causal", "causal"], "a mode"),
     ("variables", ["treat@0", "treat@0"], "a variable"),
@@ -477,6 +489,21 @@ def test_infer_invalid_query_exits_1(tmp_path, capsys, query):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("query", [
+    ["--evidence", "x=1,x=0"],
+    ["--evidence", "x=1, x =1"],
+    ["--do", "x=1,x=0"],
+    ["--do", "x=1,x=1"],
+], ids=["evidence", "evidence-same-state", "do", "do-same-state"])
+def test_infer_a_node_named_twice_exits_1(tmp_path, capsys, query):
+    # the last assignment used to win unnoticed
+    model_path = tmp_path / "triple.json"
+    save_model(confounded_triple(0.12), model_path)
+    assert dispatch(["infer", "--model", str(model_path), "--target", "y", *query]) == 1
+    captured = capsys.readouterr()
+    assert "'x' is assigned twice" in captured.err and captured.out == ""
+
+
 def test_infer_unknown_state_exits_2(tmp_path, capsys):
     model_path = tmp_path / "triple.json"
     save_model(confounded_triple(0.12), model_path)
@@ -592,6 +619,27 @@ def test_learn_rejects_template_document(tmp_path, capsys):
     ])
     assert rc == 1
     assert "unrolled" in capsys.readouterr().err
+
+
+def test_learn_does_not_depend_on_the_cohort_column_order(tmp_path, capsys):
+    spec = make_confounded_scenario(bias=0.12, n=400, seed=3,
+                                    mcar={"treat@0": 0.1, "cov_a@0": 0.2, "outcome@1": 0.1})
+    save_model(spec.network, tmp_path / "structure.json")
+    cohort = sample_cohort(spec)
+    write_cohort_csv(cohort, tmp_path / "cohort.csv")
+    order = [3, 7, 0, 5, 1, 6, 2, 4]
+    write_cohort_csv(Cohort([cohort.columns[j] for j in order], cohort.codes[:, order],
+                            [cohort.labels[j] for j in order]), tmp_path / "permuted.csv")
+    fitted, logs = [], []
+    for name in ("cohort.csv", "permuted.csv"):
+        out = tmp_path / f"fitted-{name}.json"
+        assert dispatch(["learn", "--structure", str(tmp_path / "structure.json"),
+                         "--cohort", str(tmp_path / name), "--out", str(out),
+                         "--alpha", "1", "--max-iter", "3"]) == 0
+        fitted.append(out.read_bytes())
+        logs.append(capsys.readouterr().out.splitlines()[-1])
+    assert fitted[0] == fitted[1]
+    assert logs[0] == logs[1]
 
 
 def _write_learn_inputs(tmp_path, arcs=()):

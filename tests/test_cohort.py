@@ -130,10 +130,11 @@ def _same_encoding(net, cohort, columns, rows, names):
         assert str(got.value) == str(exc)
     else:
         got = encode_columns(net, cohort, names)
-        assert list(got) == list(want)
-        for name in names:
-            assert got[name].dtype == np.int64
-            assert np.array_equal(got[name], want[name])
+        assert got.dtype == np.int64 and got.shape == (len(cohort), len(names))
+        assert np.array_equal(got, want)
+        for j, name in enumerate(names):
+            if name not in columns:
+                assert np.all(got[:, j] == -1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,8 +147,9 @@ def test_columnar_cohort_matches_the_per_cell_references(case, data):
     ids = np.arange(len(rows)) * 3 + 5
     cohort = Cohort.from_rows(columns, rows, ids=ids)
     want = _missing_as_none(rows)
-    net = _flat_network(columns)
-    names = data.draw(st.permutations(columns))
+    # model nodes the cohort has no column for encode as all -1
+    net = _flat_network(columns + ("d0", "d1"))
+    names = data.draw(st.lists(st.sampled_from(net.names), unique=True))
     _same_encoding(net, cohort, columns, want, names)
 
     positions = data.draw(st.lists(st.integers(0, len(rows) - 1)) if rows else st.just([]))
@@ -227,17 +229,19 @@ def test_encode_columns():
         columns=("a", "b", "ignored"),
         rows=[("0", "1", "x"), ("1", None, "y")],
     )
-    enc = encode_columns(net, cohort)
-    assert set(enc) == {"a", "b"}  # non-model columns are skipped by default
-    assert enc["a"].tolist() == [0, 1]
-    assert enc["b"].tolist() == [1, -1]
+    # columns in the order of names; c has no cohort column, "ignored" no node
+    enc = encode_columns(net, cohort, ["b", "c", "a"])
+    assert enc.dtype == np.int64
+    assert enc.tolist() == [[1, -1, 0], [-1, -1, 1]]
+    with pytest.raises(UnknownVariable):
+        encode_columns(net, cohort, ["ignored"])
 
 
 def test_encode_columns_unknown_state_names_context():
     net = chain_network()
     cohort = Cohort.from_rows(columns=("a",), rows=[("2",)], ids=np.array([41]))
     with pytest.raises(UnknownState, match=r"record 41, column 'a'"):
-        encode_columns(net, cohort)
+        encode_columns(net, cohort, ["a"])
 
 
 @settings(max_examples=150, deadline=None)

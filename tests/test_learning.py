@@ -52,19 +52,19 @@ def _xy_structure() -> DiscreteNetwork:
 
 def test_mle_root_counts():
     net = _xy_structure()
-    cols = {"x": np.array([1, 1, 1, 0]), "y": np.array([0, 0, 0, 0])}
-    plain = mle_fit(net, cols, alpha=0.0)
+    codes = np.column_stack(([1, 1, 1, 0], [0, 0, 0, 0]))  # x, y
+    plain = mle_fit(net, codes, alpha=0.0)
     assert plain.cpts["x"].rows[0, 1] == 0.75
-    smoothed = mle_fit(net, cols, alpha=1.0)
+    smoothed = mle_fit(net, codes, alpha=1.0)
     assert smoothed.cpts["x"].rows[0, 1] == pytest.approx(4.0 / 6.0, abs=1e-15)
 
 
 def test_mle_child_counts():
     net = _xy_structure()
-    cols = {"x": np.array([0, 0, 1, 1]), "y": np.array([0, 1, 1, 1])}
-    plain = mle_fit(net, cols, alpha=0.0)
+    codes = np.column_stack(([0, 0, 1, 1], [0, 1, 1, 1]))
+    plain = mle_fit(net, codes, alpha=0.0)
     np.testing.assert_allclose(plain.cpts["y"].rows, [[0.5, 0.5], [0.0, 1.0]], atol=1e-15)
-    smoothed = mle_fit(net, cols, alpha=1.0)
+    smoothed = mle_fit(net, codes, alpha=1.0)
     np.testing.assert_allclose(
         smoothed.cpts["y"].rows, [[0.5, 0.5], [0.25, 0.75]], atol=1e-15
     )
@@ -73,18 +73,18 @@ def test_mle_child_counts():
 def test_mle_rejects_missing_values():
     net = _xy_structure()
     with pytest.raises(IncompleteAssignment):
-        mle_fit(net, {"x": np.array([0, -1]), "y": np.array([0, 1])})
+        mle_fit(net, np.column_stack(([0, -1], [0, 1])))
     with pytest.raises(IncompleteAssignment):
-        mle_fit(net, {"x": np.array([0, 1])})
+        mle_fit(net, np.column_stack(([0, 1],)))
 
 
 def test_mle_empty_parent_configuration():
     net = _xy_structure()
-    cols = {"x": np.array([0, 0]), "y": np.array([0, 1])}
+    codes = np.column_stack(([0, 0], [0, 1]))
     with pytest.raises(EmptyParentConfiguration):
-        mle_fit(net, cols, alpha=0.0)
+        mle_fit(net, codes, alpha=0.0)
     # smoothing rescues the unseen configuration with a uniform row
-    fitted = mle_fit(net, cols, alpha=1.0)
+    fitted = mle_fit(net, codes, alpha=1.0)
     np.testing.assert_allclose(fitted.cpts["y"].rows[1], [0.5, 0.5])
 
 
@@ -219,8 +219,8 @@ def test_em_single_iteration_hand_values():
     # E-step: P(x=1 | y=1) = 0.5 under the uniform initialization, so the
     # expected counts are x=1: 2.5, x=0: 0.5; (x=1, y=1): 1.5; (x=0, y=1): 0.5
     net = _xy_structure()
-    cols = {"x": np.array([1, 1, -1]), "y": np.array([1, 0, 1])}
-    fitted, report = em_fit(net, cols, alpha=0.0, init="uniform", max_iter=1)
+    codes = np.column_stack(([1, 1, -1], [1, 0, 1]))
+    fitted, report = em_fit(net, codes, alpha=0.0, init="uniform", max_iter=1)
     assert fitted.cpts["x"].rows[0, 1] == pytest.approx(2.5 / 3.0, abs=1e-12)
     assert fitted.cpts["y"].rows[1, 1] == pytest.approx(0.6, abs=1e-12)
     assert fitted.cpts["y"].rows[0, 1] == pytest.approx(1.0, abs=1e-12)
@@ -238,9 +238,9 @@ def test_em_single_iteration_hand_values():
 def test_em_first_trace_entry_is_the_initial_log_likelihood():
     net = confounded_triple()
     rng = np.random.default_rng(5)
-    cols = {n: rng.integers(-1, net.card(n), size=60) for n in net.names}
-    _, report = em_fit(net, cols, init="given", max_iter=1)
-    rows = [{n: int(cols[n][r]) for n in net.names if cols[n][r] >= 0} for r in range(60)]
+    codes = np.column_stack([rng.integers(-1, net.card(n), size=60) for n in net.names])
+    _, report = em_fit(net, codes, init="given", max_iter=1)
+    rows = [{n: s for n, s in zip(net.names, row) if s >= 0} for row in codes.tolist()]
     assert report.log_likelihood[0] == pytest.approx(
         float(row_log_likelihoods(net, rows).sum()), rel=0, abs=1e-9
     )
@@ -250,14 +250,12 @@ def test_em_complete_data_equals_mle_bitwise():
     rng = np.random.default_rng(8)
     for alpha in (0.0, 1.0):
         net = random_network(rng, max_nodes=6)
-        cols = {
-            n: rng.integers(0, net.card(n), size=80) for n in net.names
-        }
+        codes = np.column_stack([rng.integers(0, net.card(n), size=80) for n in net.names])
         try:
-            direct = mle_fit(net, cols, alpha=alpha)
+            direct = mle_fit(net, codes, alpha=alpha)
         except EmptyParentConfiguration:
             continue
-        via_em, report = em_fit(net, cols, alpha=alpha)
+        via_em, report = em_fit(net, codes, alpha=alpha)
         for name in net.names:
             assert np.array_equal(direct.cpts[name].rows, via_em.cpts[name].rows)
         assert report.converged and report.iterations == 1
@@ -268,13 +266,13 @@ def test_em_complete_data_log_likelihood_is_the_per_row_log_evidence():
     # one batched call; each row equals its own scalar query
     rng = np.random.default_rng(23)
     net = random_network(rng, max_nodes=6)
-    cols = {n: rng.integers(0, net.card(n), size=300) for n in net.names}
-    fitted, report = em_fit(net, cols, alpha=1.0)
-    patterns, weights, _ = _collapse_patterns(net, cols)
+    codes = np.column_stack([rng.integers(0, net.card(n), size=300) for n in net.names])
+    fitted, report = em_fit(net, codes, alpha=1.0)
+    patterns, weights, _ = _collapse_patterns(net, codes)
     per_pattern = [log_evidence(fitted, p) for p in patterns]
     (ll,) = report.log_likelihood
     assert ll == pytest.approx(float(np.dot(weights, per_pattern)), rel=0, abs=1e-12)
-    per_row = [log_evidence(fitted, {n: int(cols[n][r]) for n in net.names}) for r in range(300)]
+    per_row = [log_evidence(fitted, dict(zip(net.names, row))) for row in codes.tolist()]
     assert ll == pytest.approx(math.fsum(per_row), rel=1e-12, abs=0)
 
 
@@ -285,11 +283,11 @@ def test_em_trace_is_non_decreasing():
     z = (rng.uniform(size=n) < net.cpts["z"].rows[0, 1]).astype(int)
     x = (rng.uniform(size=n) < net.cpts["x"].rows[z, 1]).astype(int)
     y = (rng.uniform(size=n) < net.cpts["y"].rows[x * 2 + z, 1]).astype(int)
-    cols = {"z": z.copy(), "x": x.copy(), "y": y.copy()}
-    for name in cols:
+    codes = np.column_stack((z, x, y))  # network order
+    for j in range(3):
         mask = rng.uniform(size=n) < 0.2
-        cols[name][mask] = -1
-    _, report = em_fit(net, cols, alpha=0.0, init="uniform")
+        codes[mask, j] = -1
+    _, report = em_fit(net, codes, alpha=0.0, init="uniform")
     trace = report.log_likelihood
     assert len(trace) >= 2
     for a, b in zip(trace, trace[1:]):
@@ -306,8 +304,7 @@ def test_em_trace_is_non_decreasing_on_an_unrolled_panel_network():
     cells = rng.choice(joint.size, size=400, p=joint.ravel())
     codes = np.stack(np.unravel_index(cells, joint.shape), axis=1)
     codes[rng.uniform(size=codes.shape) < 0.25] = -1
-    cols = {n: codes[:, j] for j, n in enumerate(net.names)}
-    _, report = em_fit(net, cols, alpha=0.0, init="uniform", max_iter=15)
+    _, report = em_fit(net, codes, alpha=0.0, init="uniform", max_iter=15)
     trace = report.log_likelihood
     assert len(trace) >= 3
     for a, b in zip(trace, trace[1:]):
@@ -321,11 +318,11 @@ def test_em_recovers_triple_under_mcar():
     z = (rng.uniform(size=n) < net.cpts["z"].rows[0, 1]).astype(int)
     x = (rng.uniform(size=n) < net.cpts["x"].rows[z, 1]).astype(int)
     y = (rng.uniform(size=n) < net.cpts["y"].rows[x * 2 + z, 1]).astype(int)
-    cols = {"z": z.copy(), "x": x.copy(), "y": y.copy()}
-    for name in cols:
+    codes = np.column_stack((z, x, y))  # network order
+    for j in range(3):
         mask = rng.uniform(size=n) < 0.15
-        cols[name][mask] = -1
-    fitted, _ = em_fit(net, cols, alpha=0.0, init="uniform")
+        codes[mask, j] = -1
+    fitted, _ = em_fit(net, codes, alpha=0.0, init="uniform")
     for name in net.names:
         err = np.abs(fitted.cpts[name].rows - net.cpts[name].rows).max()
         assert err <= 0.1, f"{name}: max CPT error {err:.3f}"
@@ -333,10 +330,10 @@ def test_em_recovers_triple_under_mcar():
 
 def test_em_never_observed_variable_requires_smoothing():
     net = _xy_structure()
-    cols = {"x": np.full(4, -1), "y": np.array([0, 1, 1, 1])}
+    codes = np.column_stack(([-1, -1, -1, -1], [0, 1, 1, 1]))
     with pytest.raises(EmptyParentConfiguration):
-        em_fit(net, cols, alpha=0.0)
-    fitted, _ = em_fit(net, cols, alpha=0.5)  # latent-style fit still runs
+        em_fit(net, codes, alpha=0.0)
+    fitted, _ = em_fit(net, codes, alpha=0.5)  # latent-style fit still runs
     np.testing.assert_allclose(fitted.cpts["x"].rows.sum(axis=1), [1.0], atol=1e-12)
 
 
@@ -346,19 +343,18 @@ def test_em_structural_zero_is_an_error():
         arcs=[],
         cpts={"x": Cpt("x", (), np.array([[0.0, 1.0]]))},
     )
-    cols = {"x": np.array([0, -1])}
     with pytest.raises(NonFiniteLikelihood):
-        em_fit(net, cols, alpha=0.0, init="given")
+        em_fit(net, np.array([[0], [-1]]), alpha=0.0, init="given")
 
 
 def test_em_rejects_bad_arguments():
     net = _xy_structure()
     with pytest.raises(ValueError):
-        em_fit(net, {"x": np.array([0]), "y": np.array([0])}, alpha=-0.5)
+        em_fit(net, np.array([[0, 0]]), alpha=-0.5)
     with pytest.raises(ValueError):
-        em_fit(net, {}, alpha=0.0)
+        em_fit(net, np.empty((0, 2), dtype=np.int64), alpha=0.0)
     with pytest.raises(ValueError, match="max_iter"):
-        em_fit(net, {"x": np.array([0, -1]), "y": np.array([0, 1])}, alpha=1.0, max_iter=0)
+        em_fit(net, np.column_stack(([0, -1], [0, 1])), alpha=1.0, max_iter=0)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])
@@ -366,20 +362,28 @@ def test_em_rejects_bad_arguments():
 def test_fits_reject_a_non_finite_alpha(fit, alpha):
     # nan passes an alpha < 0 check and would write NaN into every CPT
     with pytest.raises(ValueError, match="alpha must be finite"):
-        fit(_xy_structure(), {"x": np.array([0, 1]), "y": np.array([1, 0])}, alpha=alpha)
+        fit(_xy_structure(), np.column_stack(([0, 1], [1, 0])), alpha=alpha)
 
 
 def test_fits_reject_bad_columns():
-    # -1 is the only missing code; em_fit used to read -2 as missing and to
-    # raise KeyError or IndexError on the other probes
+    # a column per variable in network order, of integer codes in [-1, card):
+    # -1 is the only missing code; em_fit used to read -2 as missing
     net = _xy_structure()
-    with pytest.raises(IncompleteAssignment):
-        em_fit(net, {"x": np.array([0, -1])}, alpha=1.0)
-    for bad in ({"x": np.array([0, -2])}, {"x": np.array([0, 2])}, {"y": np.array([1, 5])}):
-        with pytest.raises(UnknownState):
-            em_fit(net, {"x": np.array([0, -1]), "y": np.array([0, 1]), **bad}, alpha=1.0)
-        with pytest.raises(UnknownState):
-            mle_fit(net, {"x": np.array([0, 1]), "y": np.array([0, 1]), **bad})
+    for bad in (np.array([[0], [-1]]), np.array([[0, 1, 0], [-1, 0, 1]]), np.array([0, -1])):
+        with pytest.raises(IncompleteAssignment, match="a column per variable"):
+            em_fit(net, bad, alpha=1.0)
+        with pytest.raises(IncompleteAssignment, match="a column per variable"):
+            mle_fit(net, bad)
+    for dtype in (np.float64, bool, object):
+        with pytest.raises(UnknownState, match="integer state indices"):
+            em_fit(net, np.array([[0, 1], [1, 0]], dtype=dtype), alpha=1.0)
+        with pytest.raises(UnknownState, match="integer state indices"):
+            mle_fit(net, np.array([[0, 1], [1, 0]], dtype=dtype))
+    for x, y, name in (([0, -2], [0, 1], "x"), ([0, 2], [0, 1], "x"), ([0, -1], [1, 5], "y")):
+        with pytest.raises(UnknownState, match=f"column '{name}' holds codes outside"):
+            em_fit(net, np.column_stack((x, y)), alpha=1.0)
+        with pytest.raises(UnknownState, match=f"column '{name}' holds codes outside"):
+            mle_fit(net, np.column_stack((x, y)))
 
 
 # ---------------------------------------------------------------------------

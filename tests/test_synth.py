@@ -183,14 +183,13 @@ def test_sample_cohort_per_record_streams():
 def test_sample_cohort_empirical_frequencies():
     spec = make_confounded_scenario(bias=0.12, n=60_000, seed=5)
     cohort = sample_cohort(spec)
-    enc = encode_columns(spec.network, cohort)
-    treat, out = enc[spec.treatment], enc[spec.outcome]
+    treat, out, marker = encode_columns(
+        spec.network, cohort, [spec.treatment, spec.outcome, "marker@0"]).T
     p_obs_yes = float((out[treat == 1] == 1).mean())
     p_obs_no = float((out[treat == 0] == 1).mean())
     assert p_obs_yes == pytest.approx(0.62, abs=0.012)
     assert p_obs_no == pytest.approx(0.24, abs=0.012)
     # root covariate matches its prior
-    marker = enc["marker@0"]
     assert float((marker == 1).mean()) == pytest.approx(0.5, abs=0.012)
 
 
@@ -214,8 +213,8 @@ def test_injector_biases_only_the_marker():
         assert a.column(col) == b.column(col)
     assert a.column("marker@0") != b.column("marker@0")
     # far-from-threshold records lean positive under the tilt
-    enc = encode_columns(tilted.network, b, columns=["marker@0"])
-    assert float((enc["marker@0"] == 1).mean()) > 0.6
+    enc = encode_columns(tilted.network, b, ["marker@0"])
+    assert float((enc == 1).mean()) > 0.6
 
 
 def test_scenario_rejects_negative_or_fractional_seed_and_n():
