@@ -19,7 +19,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .cohort import Cohort, read_cohort_csv, write_cohort_csv
@@ -108,6 +107,8 @@ def emit_report(report: RdDoReport, out_dir: str | Path) -> dict[str, Path]:
     frozen header; report.json mirrors the full structure minus per-record
     sample arrays and window membership (sizes and counts are included).
     """
+    import scipy  # here, not at module level: only rddo's manifest reads it
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

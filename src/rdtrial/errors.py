@@ -141,15 +141,41 @@ def required_file(what: str, path):
         raise ConfigError(f"{what} file not found: {path}") from None
 
 
+class RepeatedKey(ValueError):
+    """A JSON object names one key twice. Raised by unique_keys; each reader
+    turns it into its own error type, naming the file."""
+
+    def __init__(self, key):
+        self.key = key
+        super().__init__(f"repeats key {key!r}")
+
+
+def unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for json.loads: an object, at any depth, that
+    names a key twice raises RepeatedKey, where json.loads alone keeps the
+    last value unnoticed."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise RepeatedKey(key)
+            seen.add(key)
+    return doc
+
+
 def read_json(what: str, path) -> dict:
     """The JSON object in a file. A missing file is ConfigError as in
-    required_file; so is a file that does not hold one JSON object."""
+    required_file; so is a file that does not hold one JSON object, or one
+    in which an object repeats a key."""
     with required_file(what, path):
         text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
+    except RepeatedKey as exc:
+        raise ConfigError(f"{what} file {path} {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} file {path} must hold a JSON object")
     return doc

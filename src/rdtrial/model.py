@@ -384,10 +384,12 @@ def validate_network(net: DiscreteNetwork) -> ValidationReport:
                 )
             )
             continue
-        if np.any(cpt.rows < 0.0) or np.any(cpt.rows > 1.0):
-            out.append(Violation("entry_out_of_range", name, "entries outside [0, 1]"))
-        sums = cpt.rows.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
+        # written so that NaN, for which every comparison is False, fails both
+        if not np.all((cpt.rows >= 0.0) & (cpt.rows <= 1.0)):
+            out.append(Violation("entry_out_of_range", name, "entries outside [0, 1] or NaN"))
+        with np.errstate(invalid="ignore"):  # inf + -inf: reported below, not warned
+            sums = cpt.rows.sum(axis=1)
+        bad = np.nonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))[0]
         for row in bad:
             out.append(
                 Violation("unnormalized", name, f"{name}:{int(row)}:{float(sums[row])!r}")

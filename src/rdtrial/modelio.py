@@ -28,7 +28,7 @@ import math
 from pathlib import Path
 from typing import Any
 
-from .errors import InvalidModel
+from .errors import InvalidModel, RepeatedKey, unique_keys
 from .model import (
     Cpt,
     DbnTemplate,
@@ -214,9 +214,11 @@ def load_model(path: str | Path) -> DiscreteNetwork | DbnTemplate:
     """Load a model document; returns a template iff it has a template key."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise InvalidModel(f"{path}: not valid JSON ({exc})") from exc
+    except RepeatedKey as exc:
+        raise InvalidModel(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or "variables" not in doc or "cpts" not in doc:
         raise InvalidModel(f"{path}: missing required keys 'variables'/'cpts'")
     if "template" in doc:

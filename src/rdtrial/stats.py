@@ -6,7 +6,11 @@ scipy supplies only the two tail functions, from ``scipy.special``:
 ``chdtrc(dof, x)`` is what ``scipy.stats.chi2.sf(x, dof)`` evaluates and
 ``kolmogorov(x)`` what ``scipy.stats.kstwobign.sf(x)`` evaluates, bit for
 bit, for the statistics >= 0 and dof >= 1 passed here. Calling them
-directly keeps ``scipy.stats`` and its import cost out of every process.
+directly keeps ``scipy.stats`` out of every process, and importing them
+inside the two tests that use them keeps scipy itself out of every process
+that computes no p-value: ``learn``, ``synth``, ``infer``, ``threshold``
+and ``discretize`` never load it, and ``rddo`` loads ``scipy.special`` at
+its first chi-square test.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, kolmogorov
 
 from .errors import DegenerateTable, EmptySample, SingleClass
 
@@ -52,6 +55,8 @@ def chi2_homogeneity(left: np.ndarray, right: np.ndarray) -> TestResult:
     terms in category order, the collapse bucket's last, left group before
     right, so a row equals the 1-D call on that row bit for bit.
     """
+    from scipy.special import chdtrc
+
     left = np.asarray(left, dtype=np.float64)
     right = np.asarray(right, dtype=np.float64)
     if left.shape != right.shape or left.ndim not in (1, 2):
@@ -108,6 +113,8 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> TestResult:
     sqrt(n_eff) * D with n_eff = |a||b| / (|a| + |b|). Identical samples
     give D = 0, p = 1.
     """
+    from scipy.special import kolmogorov
+
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
     m, n = a.size, b.size

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 from rdtrial.cli import _PARSER, EFFECTS_HEADER, WINDOWS_HEADER, _build_parser, dispatch
 from rdtrial.cohort import Cohort, write_cohort_csv
-from rdtrial.modelio import load_model, save_model
+from rdtrial.modelio import load_model, network_to_dict, save_model
 from rdtrial.rddo import load_run_config, parse_run_config
 from rdtrial.synth import confounded_triple, make_confounded_scenario, sample_cohort
 
@@ -355,6 +356,24 @@ def test_bad_json_input_exits_1_with_one_message(tmp_path, capsys, command, what
     assert capsys.readouterr().err == f"error: {what} file {broken} must hold a JSON object\n"
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"k_min": 200', '"k_min": 5, "k_min": 200', "k_min"),
+    ('"thresholds": {"1": 0.43}', '"thresholds": {"1": 0.4, "1": 0.43}', "1"),
+    ('"split": null', '"split": null, "split": null', "split"),
+], ids=["top-level", "nested", "equal-values"])
+def test_rddo_config_repeating_a_key_exits_1_naming_it(tmp_path, capsys, old, new, key):
+    # json.loads alone keeps the last value: k_min 200, threshold 0.43
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=30)
+    out = tmp_path / "out"
+    config_path = _write_config(tmp_path, model_path, cohort_path, out)
+    text = config_path.read_text(encoding="utf-8")
+    assert old in text
+    config_path.write_text(text.replace(old, new), encoding="utf-8")
+    assert dispatch(["rddo", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: config file {config_path} repeats key {key!r}\n"
+    assert not out.exists()
+
+
 def test_shipped_and_bench_configs_parse(tmp_path):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
@@ -502,6 +521,35 @@ def test_infer_a_node_named_twice_exits_1(tmp_path, capsys, query):
     assert dispatch(["infer", "--model", str(model_path), "--target", "y", *query]) == 1
     captured = capsys.readouterr()
     assert "'x' is assigned twice" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('{"kind": "network"', '{"kind": "network", "kind": "network"', "kind"),
+    ('"cpts": {', '"cpts": {"y": {"parents": [], "rows": [[0.5, 0.5]]}, ', "y"),
+], ids=["top-level", "a-cpt-given-twice"])
+def test_infer_model_repeating_a_key_exits_1_naming_it(tmp_path, capsys, old, new, key):
+    # json.loads alone keeps the last value, so the first CPT for y was dropped
+    model_path = tmp_path / "triple.json"
+    text = json.dumps(network_to_dict(confounded_triple(0.12)))
+    assert old in text
+    model_path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert dispatch(["infer", "--model", str(model_path), "--target", "y"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {model_path}: repeats key {key!r}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("row", [1, 3])
+def test_infer_model_with_a_nan_cpt_row_exits_1_naming_the_node(tmp_path, capsys, row):
+    # NaN fails no "< 0", "> 1" or "|sum - 1| > tol" test: such a model used to
+    # load, and infer then misreported the evidence as impossible
+    doc = network_to_dict(confounded_triple(0.12))
+    doc["cpts"]["y"]["rows"][row] = [math.nan, 0.7]
+    model_path = tmp_path / "triple.json"
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert dispatch(["infer", "--model", str(model_path), "--target", "y"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: entry_out_of_range at y: entries outside [0, 1] or NaN\n"
+    assert captured.out == ""
 
 
 def test_infer_unknown_state_exits_2(tmp_path, capsys):

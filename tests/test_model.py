@@ -172,6 +172,18 @@ def test_validate_catches_each_defect():
     assert "orphan_cpt" in _kinds(validate_network(orphan))
 
 
+@pytest.mark.parametrize("row", [[np.nan, 0.3], [np.nan, np.nan], [np.inf, -np.inf]],
+                         ids=["one-nan", "all-nan", "infinite-sum-nan"])
+def test_validate_rejects_nan_entries_and_nan_row_sums(row):
+    # every comparison with NaN is False, so "x < 0 or x > 1" and
+    # "|sum - 1| > tol" both let a NaN through
+    a = VariableDef(name="a", states=("0", "1"))
+    report = validate_network(DiscreteNetwork([a], [], {"a": Cpt("a", (), np.array([row]))}))
+    assert _kinds(report) == {"entry_out_of_range", "unnormalized"}
+    with pytest.raises(InvalidModel, match="entry_out_of_range at a"):
+        report.raise_first()
+
+
 def test_validate_interval_order():
     bad = DiscreteNetwork(
         [

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import chdtrc, kolmogorov
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstwobign
 
-from rdtrial import stats
 from rdtrial.errors import DegenerateTable, EmptySample, SingleClass
 from rdtrial.stats import (
     bonferroni_alpha,
@@ -160,8 +160,10 @@ def test_chi2_stacked_rows_match_the_scalar_reference(tables):
         assert type(one.p_value) is float and type(one.dof) is int
 
 
-# The tails come from scipy.special; scipy.stats is the oracle they must match
-# bit for bit, so that no p-value, gate decision or output byte moves.
+# The tails come from scipy.special (rdtrial.stats imports chdtrc and
+# kolmogorov inside the two tests that call them); scipy.stats is the oracle
+# they must match bit for bit, so that no p-value, gate decision or output
+# byte moves.
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
@@ -178,9 +180,9 @@ _TAIL_ARG = st.one_of(st.sampled_from(_TAIL_EDGES),
 def test_chi2_tail_equals_scipy_stats_bit_for_bit(pairs):
     x = np.array([a for a, _ in pairs])
     dof = np.array([d for _, d in pairs])
-    assert _bits(stats.chdtrc(dof, x)) == _bits(chi2_dist.sf(x, dof))
+    assert _bits(chdtrc(dof, x)) == _bits(chi2_dist.sf(x, dof))
     for a, d in pairs:
-        assert _bits(stats.chdtrc(d, a)) == _bits(chi2_dist.sf(a, d))
+        assert _bits(chdtrc(d, a)) == _bits(chi2_dist.sf(a, d))
 
 
 @st.composite
@@ -274,9 +276,9 @@ def test_ks_calibration_under_null():
 @given(st.lists(_TAIL_ARG, min_size=1, max_size=40))
 def test_ks_tail_equals_scipy_stats_bit_for_bit(xs):
     x = np.array(xs)
-    assert _bits(stats.kolmogorov(x)) == _bits(kstwobign.sf(x))
+    assert _bits(kolmogorov(x)) == _bits(kstwobign.sf(x))
     for a in xs:
-        assert _bits(stats.kolmogorov(a)) == _bits(kstwobign.sf(a))
+        assert _bits(kolmogorov(a)) == _bits(kstwobign.sf(a))
 
 
 @settings(max_examples=200, deadline=None)
