@@ -75,6 +75,7 @@ from .rddo import (
     RdDoReport,
     RunConfig,
     ScoredRecord,
+    ScoredRecords,
     WindowReport,
     WindowScan,
     estimate_effects,
@@ -90,8 +91,9 @@ from .stats import (
     TestResult,
     bonferroni_alpha,
     chi2_homogeneity,
+    chi2_p_value,
+    chi2_rejects,
     ks_two_sample,
-    sample_power,
     youden_threshold,
 )
 from .synth import (
@@ -122,13 +124,13 @@ __all__ = [
     "PlausibilityRange", "apply_plausibility", "BinningScheme",
     "mdlp_cuts", "apply_bins", "bin_column", "numeric_column",
     # stats
-    "TestResult", "chi2_homogeneity", "ks_two_sample", "bonferroni_alpha",
-    "youden_threshold", "sample_power",
+    "TestResult", "chi2_homogeneity", "chi2_p_value", "chi2_rejects",
+    "ks_two_sample", "bonferroni_alpha", "youden_threshold",
     # cohort
     "Cohort", "read_cohort_csv", "write_cohort_csv", "encode_columns",
     # pipeline
-    "ScoredRecord", "WindowReport", "WindowScan", "CategoryEffect", "EffectTable",
-    "RunConfig", "RdDoReport", "score_cohort", "scan_windows",
+    "ScoredRecord", "ScoredRecords", "WindowReport", "WindowScan", "CategoryEffect",
+    "EffectTable", "RunConfig", "RdDoReport", "score_cohort", "scan_windows",
     "select_window", "estimate_effects", "rank_effects", "run_rd_do",
     "parse_run_config", "load_run_config",
     # synth

@@ -40,8 +40,11 @@ from .learning import stratified_split
 from .model import DiscreteNetwork, VariableDef, has_directed_path, slice_rank, unroll
 from .modelio import load_model
 from .stats import (
+    TestResult,
     bonferroni_alpha,
     chi2_homogeneity,
+    chi2_p_value,
+    chi2_rejects,
     ks_two_sample,
     youden_threshold,
 )
@@ -62,9 +65,48 @@ class ScoredRecord:
     distance: float | None = None  # |score - threshold| when a threshold is known
 
 
+@dataclass(frozen=True, eq=False)
+class ScoredRecords(abc.Sequence[ScoredRecord]):
+    """The kept records of one scoring, held as read-only columns, one entry
+    per record in cohort order.
+
+    Record i has id ids[i], score scores[i] and label labels[i]; its
+    evidence is row pattern_of[i] of patterns, the distinct code rows over
+    the evidence columns names (-1 = missing cell). Indexing (negative
+    indices and slices too) and iteration build ScoredRecord items; records
+    with one pattern share one read-only evidence mapping, built when first
+    read.
+    """
+
+    ids: np.ndarray
+    scores: np.ndarray
+    labels: np.ndarray
+    patterns: np.ndarray
+    pattern_of: np.ndarray
+    names: tuple[str, ...]
+    threshold: float | None = None  # distance is |score - threshold| when set
+    _evidence: dict[int, Mapping[str, int]] = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = range(len(self))[i]  # raises IndexError when out of range
+        p = int(self.pattern_of[i])
+        evidence = self._evidence.get(p)
+        if evidence is None:
+            evidence = self._evidence[p] = MappingProxyType(
+                {c: v for c, v in zip(self.names, self.patterns[p].tolist()) if v >= 0})
+        score = float(self.scores[i])
+        distance = None if self.threshold is None else abs(score - self.threshold)
+        return ScoredRecord(int(self.ids[i]), evidence, bool(self.labels[i]), score, distance)
+
+
 @dataclass(frozen=True)
 class ScoringResult:
-    records: tuple[ScoredRecord, ...]
+    records: ScoredRecords
     outcome: str
     t: int
     positive_state: str
@@ -73,11 +115,11 @@ class ScoringResult:
 
     @property
     def scores(self) -> np.ndarray:
-        return np.array([r.score for r in self.records], dtype=np.float64)
+        return self.records.scores
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=bool)
+        return self.records.labels
 
 
 def _declared_outcome(net: DiscreteNetwork, t: int) -> str:
@@ -122,21 +164,6 @@ def _patterns_by_mask(
         yield rows, [names[j] for j in cols], pats, pat_of
 
 
-def _evidence_codes(records: Sequence[ScoredRecord], names: Sequence[str]) -> np.ndarray:
-    """(records, names) code matrix of the records' evidence, -1 where absent,
-    for the window scan's covariates.
-
-    Records that share a pattern share one evidence mapping (score_cohort),
-    so each distinct mapping is read once.
-    """
-    keys = np.fromiter((id(r.evidence) for r in records), np.uint64, len(records))
-    _, first, of = np.unique(keys, return_index=True, return_inverse=True)
-    table = np.array(
-        [[records[i].evidence.get(c, -1) for c in names] for i in first.tolist()], dtype=np.int64
-    ).reshape(len(first), len(names))
-    return table[of]
-
-
 def score_cohort(
     net: DiscreteNetwork,
     cohort: Cohort,
@@ -152,12 +179,13 @@ def score_cohort(
     count as baseline). Records with a missing outcome cell, or whose
     evidence has probability zero under the model, are excluded with their
     ids recorded. The fold is grouped once into its distinct rows; records
-    with the same row share one score and one read-only evidence mapping
-    of every observed cell. The rows are grouped by the observed cells the
-    outcome's query depends on (inference.requisite): one batched posterior
-    call per group scores every distinct pattern in it, so cost scales with
-    the diversity of the evidence that matters rather than cohort size.
-    Records keep cohort order.
+    with the same row share one score and one evidence pattern of every
+    observed cell. The rows are grouped by the observed cells the outcome's
+    query depends on (inference.requisite): one batched posterior call per
+    group scores every distinct pattern in it, so cost scales with the
+    diversity of the evidence that matters rather than cohort size. The
+    kept records come back as ScoredRecords columns in cohort order; no
+    per-record object is built unless a caller reads one.
     """
     if outcome is None:
         outcome = _declared_outcome(net, t)
@@ -184,21 +212,13 @@ def score_cohort(
         distinct_scores[rows] = np.broadcast_to(post.probs[..., pos_idx], len(pats))[pat_of]
     scores = np.full(len(cohort), np.nan)
     scores[labeled] = distinct_scores[of]
-    evidence = [MappingProxyType({c: v for c, v in zip(ev_cols, row) if v >= 0})
-                for row in distinct.tolist()]
 
     impossible = np.isnan(scores) & (out_codes >= 0)
     kept = np.flatnonzero(~np.isnan(scores))
-    distance = [None] * len(kept)
-    if threshold is not None:
-        distance = np.abs(scores[kept] - threshold).tolist()
-    records = tuple(
-        ScoredRecord(rid, evidence[p], label, score, dist)
-        for rid, p, label, score, dist in zip(
-            cohort.ids[kept].tolist(), pattern[kept].tolist(),
-            (out_codes[kept] == pos_idx).tolist(), scores[kept].tolist(), distance,
-        )
-    )
+    columns = (cohort.ids[kept], scores[kept], out_codes[kept] == pos_idx, distinct, pattern[kept])
+    for col in columns:
+        col.setflags(write=False)
+    records = ScoredRecords(*columns, tuple(ev_cols), None if threshold is None else float(threshold))
     return ScoringResult(
         records=records,
         outcome=outcome,
@@ -231,14 +251,17 @@ class WindowReport:
 class WindowScan(abc.Sequence[WindowReport]):
     """Every tested window of one scan, held as columns, one entry per window.
 
-    Window i holds the first ks[i] of sorted_ids. Indexing (negative
-    indices and slices too) and iteration build the WindowReports.
+    Window i holds the first ks[i] of sorted_ids. Each covariate keeps its
+    stacked chi-square test (statistic and dof per window, nan and 0 where
+    the test was skipped), not its p-values. Indexing (negative indices and
+    slices too) and iteration build the WindowReports, each evaluating its
+    own window's p-values from its (dof, statistic).
     """
 
     threshold: float
     ks: np.ndarray
     sorted_ids: np.ndarray                  # read-only, distance order
-    p_values: Mapping[str, np.ndarray]      # per covariate; nan = test skipped
+    chi2: Mapping[str, TestResult]          # per covariate, stacked over windows
     randomized: np.ndarray
     power: np.ndarray
     fp: np.ndarray
@@ -256,8 +279,9 @@ class WindowScan(abc.Sequence[WindowReport]):
             k=k,
             threshold=self.threshold,
             member_ids=self.sorted_ids[:k],
-            p_values={c: None if math.isnan(p[i]) else float(p[i])
-                      for c, p in self.p_values.items()},
+            p_values={c: None if math.isnan(res.statistic[i])
+                      else chi2_p_value(res.statistic[i], res.dof[i])
+                      for c, res in self.chi2.items()},
             randomized=bool(self.randomized[i]),
             power=float(self.power[i]),
             fp=int(self.fp[i]),
@@ -267,7 +291,7 @@ class WindowScan(abc.Sequence[WindowReport]):
 
 def scan_windows(
     net: DiscreteNetwork,
-    records: Sequence[ScoredRecord],
+    records: ScoredRecords,
     threshold: float,
     covariates: Sequence[str],
     alpha: float = 0.05,
@@ -286,14 +310,17 @@ def scan_windows(
     falsely rejects a window with probability at most alpha (family-wise),
     so such a window is accepted with probability near 1 - alpha, not more.
     Power comes from the window's confusion counts at the supplied
-    threshold, as stats.sample_power gives it. Covariate cells missing on a
+    threshold as 1 - fp / (fn + fp), 1.0 when both are 0. Each covariate
+    must be one of the records' evidence columns; its cells missing on a
     record drop out of that covariate's table only.
 
-    All windows are tested at once: in-window counts are cumulative sums
-    over the distance order read at every window's end, and each covariate
-    takes one stacked chi2_homogeneity call whose degenerate rows give
-    p = nan. The result is a WindowScan of those columns; its i-th item is
-    the WindowReport of the i-th window, built only when read.
+    All windows are tested at once, on the records' columns: in-window
+    counts are cumulative sums over the distance order read at every
+    window's end, and each covariate takes one stacked chi2_homogeneity
+    call (degenerate rows give statistic nan) and one chi2_rejects decision.
+    No p-value is evaluated here. The result is a WindowScan of those
+    columns; its i-th item is the WindowReport of the i-th window, built,
+    p-values included, only when read.
     """
     n = len(records)
     if k_min < 1:
@@ -306,9 +333,7 @@ def scan_windows(
     if k_cap < k_min:
         raise ValueError(f"k_max = {k_max} is below k_min = {k_min}")
 
-    ids = np.fromiter((r.record_id for r in records), np.int64, n)
-    scores = np.fromiter((r.score for r in records), np.float64, n)
-    labels = np.fromiter((r.label for r in records), bool, n)
+    ids, scores, labels = records.ids, records.scores, records.labels
     dist = np.abs(scores - threshold)
     order = np.lexsort((ids, dist))
 
@@ -321,21 +346,22 @@ def scan_windows(
     fp = np.cumsum(pred_pos & ~lab)[ends]
     fn = np.cumsum(~pred_pos & lab)[ends]
     wrong = fp + fn
-    # 1 - fp / (fn + fp) as sample_power computes it: the counts are exact
+    # exact counts: each window's power is the one-window formula's bits
     power = np.where(wrong == 0, 1.0, 1.0 - fp / np.maximum(wrong, 1))
 
     alpha_adj = bonferroni_alpha(alpha, len(covariates)) if covariates else alpha
-    p_values: dict[str, np.ndarray] = {}
+    chi2: dict[str, TestResult] = {}
     rejected = np.zeros(len(ks), dtype=bool)
-    codes = _evidence_codes(records, covariates)[order]
+    cols = [records.names.index(c) for c in covariates]
+    codes = records.patterns[:, cols][records.pattern_of[order]]
     for j, c in enumerate(covariates):
         # one-hot codes; a missing cell (-1) matches no category
         counts = np.cumsum(codes[:, j, None] == np.arange(net.card(c)), axis=0)
         win = counts[ends]
-        p_values[c] = chi2_homogeneity(win, counts[-1] - win).p_value
-        rejected |= p_values[c] < alpha_adj
+        chi2[c] = res = chi2_homogeneity(win, counts[-1] - win)
+        rejected |= chi2_rejects(res.statistic, res.dof, alpha_adj)
 
-    return WindowScan(float(threshold), ks, sorted_ids, p_values, ~rejected, power, fp, fn)
+    return WindowScan(float(threshold), ks, sorted_ids, chi2, ~rejected, power, fp, fn)
 
 
 def select_window(scan: WindowScan) -> WindowReport | None:
@@ -655,6 +681,10 @@ def parse_run_config(doc: Mapping[str, object], base_dir: str | Path = ".") -> R
                             and len(k) < 20 else k) for k in thresholds)
         once_each("thresholds", ts, "a time point", list(thresholds))
         thresholds = {t: need_float("thresholds", v) for t, v in zip(ts, thresholds.values())}
+        for t, v in thresholds.items():
+            # outside (0, 1) every score falls on one side of the threshold
+            if not 0 < v < 1:
+                raise ConfigError(f"threshold for time point {t} must be in (0, 1), got {v}")
     else:
         raise ConfigError("thresholds must be 'youden' or a map of t to threshold")
 
@@ -808,9 +838,17 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
     if config.covariates is None:
         covariates = _default_covariates(net, cohort, outcome_nodes)
     else:
+        first_t = min(time_points)
         for c in config.covariates:
+            # the gate tests a covariate on the scored records' evidence only
             if c not in net:
                 raise ConfigError(f"covariate {c!r} is not in the model")
+            if c not in cohort.columns:
+                raise ConfigError(f"covariate {c!r} has no cohort column to test")
+            if c in outcome_nodes:
+                raise ConfigError(f"covariate {c!r} is an outcome of the run")
+            if slice_rank(c) > first_t:
+                raise ConfigError(f"covariate {c!r} lies after time point {first_t}")
         covariates = config.covariates
 
     if config.split is not None:

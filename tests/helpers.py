@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
-from rdtrial.cohort import MISSING, Cohort
+from rdtrial.cohort import MISSING, Cohort, unique_rows
 from rdtrial.errors import DataError, DegenerateTable, UnknownState
 from rdtrial.inference import posterior
 from rdtrial.model import Cpt, DbnTemplate, DiscreteNetwork, VariableDef, slice_rank, unroll
+from rdtrial.rddo import ScoredRecords
 from rdtrial.stats import EXPECTED_MIN, TestResult
 from rdtrial.synth import ScenarioSpec
 
@@ -205,6 +206,30 @@ def reference_chi2_homogeneity(left: np.ndarray, right: np.ndarray) -> TestResul
     dof = int(left.size - 1)
     p = float(_chi2_dist.sf(stat, dof))
     return TestResult(statistic=stat, p_value=p, dof=dof)
+
+
+def sample_power(fp: int, fn: int) -> float:
+    """Reference for scan_windows' power column: window power
+    1 - FP / (FN + FP), defined as 1.0 when FP = FN = 0."""
+    if fp < 0 or fn < 0:
+        raise ValueError("counts must be non-negative")
+    if fp + fn == 0:
+        return 1.0
+    return 1.0 - fp / (fn + fp)
+
+
+def scored_records(scores, labels, names=(), codes=None, ids=None, threshold=None) -> ScoredRecords:
+    """The columnar records view that scan_windows takes, built from arrays:
+    ``codes`` is the (records, names) evidence code matrix, -1 for a missing
+    cell (default: no evidence); ``ids`` default to 0, 1, ..."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = len(scores)
+    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
+    if codes is None:
+        codes = np.full((n, len(names)), -1, dtype=np.int64)
+    patterns, pattern_of = unique_rows(np.asarray(codes, dtype=np.int64).reshape(n, len(names)))
+    return ScoredRecords(ids, scores, np.asarray(labels, dtype=bool), patterns, pattern_of,
+                         tuple(names), threshold)
 
 
 def reference_sample_cohort(spec: ScenarioSpec) -> Cohort:

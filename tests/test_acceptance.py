@@ -27,7 +27,6 @@ from rdtrial.stats import (
     bonferroni_alpha,
     chi2_homogeneity,
     ks_two_sample,
-    sample_power,
     youden_threshold,
 )
 from rdtrial.synth import (
@@ -37,7 +36,7 @@ from rdtrial.synth import (
     true_interventional,
 )
 
-from helpers import random_evidence, random_network
+from helpers import random_evidence, random_network, sample_power
 
 
 def _verdict(label: str, ok: bool, detail: str) -> str:

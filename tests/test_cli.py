@@ -229,6 +229,21 @@ def test_rddo_rejects_non_finite_or_non_number_config_values(tmp_path, capsys, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("thresholds", {"1": 1.5}, "threshold for time point 1 must be in (0, 1)"),
+    ("covariates", ["conf@0"], "covariate 'conf@0' has no cohort column"),
+    ("covariates", ["outcome@1"], "covariate 'outcome@1' is an outcome of the run"),
+])
+def test_rddo_rejects_a_window_gate_that_cannot_work(tmp_path, capsys, key, value, message):
+    # each of these ran to exit 0 and reported a window that no test checked
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=300)
+    out = tmp_path / "out"
+    config_path = _write_config(tmp_path, model_path, cohort_path, out, **{key: value})
+    assert dispatch(["rddo", "--config", str(config_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rddo_rejects_a_repeated_time_point(tmp_path, capsys):
     _, model_path, cohort_path = _write_scenario(tmp_path, n=30)
     out = tmp_path / "out"

@@ -1,11 +1,12 @@
 """Import footprint: scipy is loaded only by a command that computes a p-value.
 
-rdtrial.stats imports its two distribution tails from scipy.special inside
-the chi-square and KS tests, and the CLI reads scipy's version only when it
-writes rddo's manifest. So a fresh ``import rdtrial`` or ``import
-rdtrial.cli`` loads no scipy module, nor does a ``learn``, ``synth``,
-``infer``, ``threshold`` or ``discretize`` run; an ``rddo`` run loads
-scipy.special at its first chi-square test and never scipy.stats. Each case
+rdtrial.stats imports its distribution functions from scipy.special inside
+the functions that call them (the chi-square tail and gate decision, the KS
+test), and the CLI reads scipy's version only when it writes rddo's
+manifest. So a fresh ``import rdtrial`` or ``import rdtrial.cli`` loads no
+scipy module, nor does a ``learn``, ``synth``, ``infer``, ``threshold`` or
+``discretize`` run; an ``rddo`` run loads scipy.special at its first
+window-gate decision and never scipy.stats. Each case
 runs in a fresh interpreter, since this one has loaded scipy already.
 """
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Window extraction and effect estimation around a decision threshold."""
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,14 +33,16 @@ from rdtrial.rddo import (
     score_cohort,
     select_window,
 )
-from rdtrial.stats import sample_power
 from rdtrial.synth import confounded_triple, make_confounded_scenario, sample_cohort
 
 from helpers import (
     chain_network,
     disjoint_union,
+    panel_network,
     random_network,
     reference_chi2_homogeneity,
+    sample_power,
+    scored_records,
     with_structural_zeros,
 )
 
@@ -217,6 +221,43 @@ def test_score_cohort_matches_a_per_record_reference_loop(seed):
     assert result.zero_probability == tuple(impossible)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, 0.4]), st.data())
+def test_scored_records_view_equals_the_tuple_of_records(seed, threshold, data):
+    # the records as one ScoredRecord per kept record, in cohort order, with
+    # one read-only evidence mapping per distinct pattern
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, min_nodes=2, max_nodes=6)
+    outcome = net.names[-1]
+    codes = _random_rows(rng, net, net.names, int(rng.integers(1, 40)))
+    cohort = Cohort.from_rows(
+        columns=net.names,
+        rows=[tuple(None if s < 0 else net.var(c).states[s] for c, s in zip(net.names, row))
+              for row in codes.tolist()],
+    )
+    view = score_cohort(net, cohort, t=0, outcome=outcome, threshold=threshold).records
+    evidence = [MappingProxyType({c: v for c, v in zip(view.names, row) if v >= 0})
+                for row in view.patterns.tolist()]
+    want = tuple(
+        ScoredRecord(rid, evidence[p], label, score,
+                     None if threshold is None else abs(score - threshold))
+        for rid, p, label, score in zip(view.ids.tolist(), view.pattern_of.tolist(),
+                                        view.labels.tolist(), view.scores.tolist())
+    )
+    n = len(want)
+    assert len(view) == n and tuple(view) == want
+    assert [view[i] for i in range(-n, n)] == list(want + want)
+    window = data.draw(st.slices(n))
+    assert view[window] == want[window]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for i in range(n):
+        for j in range(n):
+            same = view.pattern_of[i] == view.pattern_of[j]
+            assert (view[i].evidence is view[j].evidence) == same
+
+
 # ---------------------------------------------------------------------------
 # window scan
 # ---------------------------------------------------------------------------
@@ -232,12 +273,9 @@ def _cov_net(card: int = 2) -> DiscreteNetwork:
 
 
 def _records(scores, labels, cov=None, ids=None):
-    out = []
-    for i, (s, lab) in enumerate(zip(scores, labels)):
-        ev = {} if cov is None or cov[i] < 0 else {"c": int(cov[i])}
-        rid = i if ids is None else ids[i]
-        out.append(ScoredRecord(record_id=rid, evidence=ev, label=bool(lab), score=float(s)))
-    return out
+    if cov is None:
+        return scored_records(scores, labels, ids=ids)
+    return scored_records(scores, labels, ["c"], np.asarray(cov)[:, None], ids=ids)
 
 
 def test_scan_windows_confusion_counts_and_power():
@@ -325,12 +363,8 @@ def test_scan_windows_tests_each_covariate_at_bonferroni_level():
 
     def scan(out_zeros, covariates):
         c = [0] * 14 + [1] * 6 + [0] * out_zeros + [1] * (20 - out_zeros)
-        records = [
-            ScoredRecord(record_id=i, label=True, score=float(scores[i]),
-                         evidence={"a": balanced[i], "b": balanced[i],
-                                   "c": c[i], "d": balanced[i]})
-            for i in range(40)
-        ]
+        records = scored_records(scores, [True] * 40, names,
+                                 np.column_stack([balanced, balanced, c, balanced]))
         (rep,) = scan_windows(net, records, threshold=0.5, covariates=covariates,
                               alpha=0.05, k_min=20, k_max=20)
         return rep
@@ -431,17 +465,13 @@ def _scan_cases(draw):
     # few distinct scores, so many records tie on distance
     grid = st.sampled_from([0.2, 0.35, 0.45, 0.5, 0.55, 0.65, 0.8])
     ids = draw(st.permutations(range(3 * n)))[:n]
-    records = []
-    for rid in ids:
-        evidence = {}
-        for v, card in zip(names, cards):
-            code = draw(st.integers(-1, card - 1))  # -1: missing cell
-            if code >= 0:
-                evidence[v] = code
-        records.append(ScoredRecord(
-            record_id=rid, evidence=evidence, label=draw(st.booleans()),
-            score=draw(grid | st.floats(0.0, 1.0)),
-        ))
+    codes, labels, scores = [], [], []
+    for _ in ids:
+        # -1: missing cell
+        codes.append([draw(st.integers(-1, card - 1)) for card in cards])
+        labels.append(draw(st.booleans()))
+        scores.append(draw(grid | st.floats(0.0, 1.0)))
+    records = scored_records(scores, labels, names, codes, ids=ids)
     k_min = draw(st.integers(1, n))
     k_step = draw(st.integers(1, 9))
     k_max = draw(st.none() | st.integers(k_min, n + 5))
@@ -477,11 +507,7 @@ def test_scan_windows_coarse_grid_counts_the_records_between_grid_points():
     # b is balanced except on the farthest tenth, where it is always 1:
     # small windows pass the gate, windows that leave mostly those out fail
     b = np.where(np.abs(scores - 0.5) < 0.27, rng.choice([-1, 0, 1], size=n), 1)
-    records = [
-        ScoredRecord(record_id=i, label=bool(labels[i]), score=float(scores[i]),
-                     evidence={k: int(v) for k, v in (("a", a[i]), ("b", b[i])) if v >= 0})
-        for i in range(n)
-    ]
+    records = scored_records(scores, labels, ["a", "b"], np.column_stack([a, b]))
     fine = scan_windows(net, records, 0.5, ["a", "b"], k_min=20, k_step=1, k_max=390)
     coarse = scan_windows(net, records, 0.5, ["a", "b"], k_min=20, k_step=7, k_max=390)
     by_k = {r.k: r for r in fine}
@@ -515,7 +541,7 @@ def _window_scan(rows):
     ks = np.array([k for k, _, _ in rows], dtype=np.int64)
     zeros = np.zeros(len(rows), dtype=np.int64)
     return WindowScan(
-        threshold=0.5, ks=ks, sorted_ids=np.arange(ks.max(initial=0)), p_values={},
+        threshold=0.5, ks=ks, sorted_ids=np.arange(ks.max(initial=0)), chi2={},
         randomized=np.array([r for _, r, _ in rows], dtype=bool),
         power=np.array([p for _, _, p in rows], dtype=np.float64), fp=zeros, fn=zeros,
     )
@@ -865,6 +891,10 @@ def test_parse_run_config_rejections(tmp_path):
         parse_run_config({**good, "split": [0.5, 0.2, 0.2]}, tmp_path)
     with pytest.raises(ConfigError, match="thresholds"):
         parse_run_config({**good, "thresholds": "roc"}, tmp_path)
+    # outside (0, 1) every record falls on one side of the threshold
+    for bad in (1.5, 1.0, 0.0, -0.2):
+        with pytest.raises(ConfigError, match=r"time point 2 must be in \(0, 1\)"):
+            parse_run_config({**good, "thresholds": {"1": 0.4, "2": bad}}, tmp_path)
     with pytest.raises(ConfigError, match="threads"):
         parse_run_config({**good, "threads": 0}, tmp_path)
     with pytest.raises(ConfigError, match="model"):
@@ -979,6 +1009,58 @@ def test_run_rd_do_no_random_window_when_gate_rejects_every_window(tmp_path):
     assert tp.n_windows == 1
     assert tp.tables == ()
     assert report.best_time_point is None
+
+
+def _scan_fine_config(tmp_path, n, **extra):
+    spec = make_confounded_scenario(bias=0.12, n=n, seed=1)
+    model_path, cohort_path = _write_scenario(tmp_path, spec)
+    return RunConfig(model_path=str(model_path), cohort_path=str(cohort_path),
+                     thresholds={1: spec.reference_threshold}, split=None, **extra)
+
+
+@pytest.mark.parametrize("covariate, message", [
+    ("conf@0", "'conf@0' has no cohort column"),  # latent: a model node, no column
+    ("outcome@1", "'outcome@1' is an outcome of the run"),
+])
+def test_run_rd_do_rejects_a_covariate_the_gate_cannot_test(tmp_path, covariate, message):
+    # untested, such a covariate would pass every window
+    config = _scan_fine_config(tmp_path, 300, covariates=(covariate,), k_min=50)
+    with pytest.raises(ConfigError, match=message):
+        run_rd_do(config)
+
+
+def test_run_rd_do_rejects_a_covariate_after_a_scored_time_point(tmp_path):
+    net = panel_network(np.random.default_rng(0), horizon=2)
+    save_model(net, tmp_path / "model.json")
+    columns = ("sex", "age@entry", "lab@0", "lab@1", "lab@2", "out@1", "out@2")
+    write_cohort_csv(Cohort.from_rows(columns=columns, rows=[("f", "mid", "low", "low",
+                                                              "high", "no", "yes")]),
+                     tmp_path / "cohort.csv")
+    config = RunConfig(model_path=str(tmp_path / "model.json"),
+                       cohort_path=str(tmp_path / "cohort.csv"), outcome_base="out",
+                       time_points=(1, 2), covariates=("sex", "lab@2"), split=None,
+                       thresholds={1: 0.5, 2: 0.5})
+    # at t = 1, lab@2 is no part of any record's evidence
+    with pytest.raises(ConfigError, match="'lab@2' lies after time point 1"):
+        run_rd_do(config)
+
+
+def test_run_rd_do_builds_no_scored_record_and_few_chi2_tails(tmp_path, monkeypatch):
+    import scipy.special
+
+    config = _scan_fine_config(tmp_path, 1500, k_min=200)
+    made = []
+    record = rddo.ScoredRecord
+    monkeypatch.setattr(rddo, "ScoredRecord", lambda *args: made.append(args) or record(*args))
+    tails = []
+    chdtrc = scipy.special.chdtrc
+    monkeypatch.setattr(scipy.special, "chdtrc",
+                        lambda d, x: tails.append(np.size(x)) or chdtrc(d, x))
+    report = run_rd_do(config)
+    (tp,) = report.time_points
+    assert tp.status == "ok" and made == []
+    # the gate decides 1,301 windows x 5 covariates mostly from the statistic
+    assert 0 < sum(tails) < tp.n_windows * len(report.covariates)
 
 
 def test_run_rd_do_rejects_unknown_cohort_column(tmp_path):

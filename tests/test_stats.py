@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import chdtrc, kolmogorov
+from scipy.special import chdtrc, chdtri, kolmogorov
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstwobign
 
 from rdtrial.errors import DegenerateTable, EmptySample, SingleClass
 from rdtrial.stats import (
     bonferroni_alpha,
+    GATE_BAND,
     chi2_homogeneity,
+    chi2_p_value,
+    chi2_rejects,
     ks_two_sample,
-    sample_power,
     youden_threshold,
 )
 
-from helpers import reference_chi2_homogeneity
+from helpers import reference_chi2_homogeneity, sample_power
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +102,13 @@ def test_chi2_stacked_rows_and_degenerate_rows():
     left = np.array([[50, 10], [0, 0], [3, 2], [10, 10]])
     right = np.array([[10, 50], [5, 5], [2, 3], [10, 10]])
     res = chi2_homogeneity(left, right)
+    assert res.p_value is None  # a stacked call evaluates no tail
     assert res.statistic[0] == pytest.approx(160.0 / 3.0, abs=1e-9)
-    assert res.statistic[3] == 0.0 and res.p_value[3] == 1.0
+    assert res.statistic[3] == 0.0 and chi2_p_value(res.statistic[3], res.dof[3]) == 1.0
     # zero group total, then everything collapsed into one bucket
-    assert np.isnan(res.p_value[1:3]).all() and np.isnan(res.statistic[1:3]).all()
+    assert np.isnan(res.statistic[1:3]).all()
     assert res.dof.tolist() == [1, 0, 0, 1]
+    assert chi2_rejects(res.statistic, res.dof, 0.05).tolist() == [True, False, False, False]
 
 
 # Counts skewed toward empty and small cells, so that zero-total categories,
@@ -137,31 +141,31 @@ def test_chi2_stacked_rows_match_the_scalar_reference(tables):
         try:
             ref = reference_chi2_homogeneity(left[i], right[i])
         except DegenerateTable:
-            assert math.isnan(res.p_value[i]) and math.isnan(res.statistic[i])
+            assert math.isnan(res.statistic[i])
             assert res.dof[i] == 0
             with pytest.raises(DegenerateTable):
                 chi2_homogeneity(left[i], right[i])
             continue
         assert res.dof[i] == ref.dof
+        p = chi2_p_value(res.statistic[i], res.dof[i])
         if ref.dof + 1 <= 7:
             # sequential sums in both: equal bit for bit
             assert res.statistic[i] == ref.statistic
-            assert res.p_value[i] == ref.p_value
+            assert p == ref.p_value
         else:
             # numpy's pairwise .sum regroups the reference's terms; below the
             # smallest normal float64 a p-value has no relative precision left
             assert res.statistic[i] == pytest.approx(ref.statistic, rel=1e-12, abs=0)
-            assert res.p_value[i] == pytest.approx(
+            assert p == pytest.approx(
                 ref.p_value, rel=1e-12, abs=np.finfo(np.float64).tiny)
         # the 1-D call is the same arithmetic on one row
         one = chi2_homogeneity(left[i], right[i])
-        assert (one.statistic, one.p_value, one.dof) == (
-            res.statistic[i], res.p_value[i], res.dof[i])
+        assert (one.statistic, one.p_value, one.dof) == (res.statistic[i], p, res.dof[i])
         assert type(one.p_value) is float and type(one.dof) is int
 
 
 # The tails come from scipy.special (rdtrial.stats imports chdtrc and
-# kolmogorov inside the two tests that call them); scipy.stats is the oracle
+# kolmogorov inside the functions that call them); scipy.stats is the oracle
 # they must match bit for bit, so that no p-value, gate decision or output
 # byte moves.
 
@@ -205,7 +209,8 @@ def test_chi2_p_values_equal_scipy_stats_bit_for_bit(tables):
     left, right = tables
     res = chi2_homogeneity(left, right)
     ok = res.dof > 0
-    assert _bits(res.p_value[ok]) == _bits(chi2_dist.sf(res.statistic[ok], res.dof[ok]))
+    p = [chi2_p_value(res.statistic[i], res.dof[i]) for i in np.flatnonzero(ok)]
+    assert _bits(p) == _bits(chi2_dist.sf(res.statistic[ok], res.dof[ok]))
     for i in np.flatnonzero(ok):
         one = chi2_homogeneity(left[i], right[i])
         assert _bits(one.p_value) == _bits(chi2_dist.sf(one.statistic, one.dof))
@@ -219,6 +224,66 @@ def test_chi2_p_value_at_zero_and_large_statistics():
     large = chi2_homogeneity(np.array([500_000, 0]), np.array([0, 500_000]))
     assert large.statistic == 1e6 and large.dof == 1
     assert _bits(large.p_value) == _bits(chi2_dist.sf(1e6, 1))
+
+
+# The gate decides p < level from the statistic: the statistics that test
+# that decision sit at the critical value, its float neighbours and the ends
+# of the band where the tail is evaluated.
+_GATE_LEVELS = [0.05 / 4, 0.01 / 2, 1e-3, 1e-8]
+
+
+def _near(x: float) -> list[float]:
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+@st.composite
+def _gate_rows(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        dof = draw(st.integers(1, 12))
+        crit = float(chdtri(dof, draw(st.sampled_from(_GATE_LEVELS))))
+        stat = draw(st.sampled_from([
+            *_near(crit), *_near(crit * (1 - GATE_BAND)), *_near(crit * (1 + GATE_BAND)),
+            0.0, math.nan,
+        ]) | st.floats(0.0, 2 * crit))
+        rows.append((stat, dof))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gate_rows(), st.sampled_from(_GATE_LEVELS))
+def test_chi2_rejects_equals_the_tail_comparison(rows, level):
+    stat = np.array([x for x, _ in rows])
+    dof = np.array([0 if math.isnan(x) else d for x, d in rows])
+    want = [not math.isnan(x) and chdtrc(d, x) < level for x, d in zip(stat, dof)]
+    assert chi2_rejects(stat, dof, level).tolist() == want
+
+
+def test_chi2_rejects_evaluates_every_row_when_the_band_does_not_bracket(monkeypatch):
+    import scipy.special
+
+    dof = np.ones(9, dtype=np.int64)
+    crit = float(chdtri(1, 0.0125))
+    stat = np.array([0.0, *_near(crit), *_near(crit * (1 + GATE_BAND)), 2 * crit, math.nan])
+    dof[-1] = 0
+    want = [not math.isnan(x) and chdtrc(1, x) < 0.0125 for x in stat]
+    calls = []
+
+    def counted(d, x):
+        calls.append(np.size(x))
+        return chdtrc(d, x)
+
+    monkeypatch.setattr(scipy.special, "chdtrc", counted)
+    assert chi2_rejects(stat, dof, 0.0125).tolist() == want
+    # two bracket values, then the rows inside the band (crit and its
+    # neighbours, the band's upper end and the float below it)
+    assert calls == [1, 1, 5]
+    calls.clear()
+    # a critical value 1.5 times too large: the tail at the band's lower end
+    # is already below the level, so every tested row is evaluated
+    monkeypatch.setattr(scipy.special, "chdtri", lambda d, y: 1.5 * chdtri(d, y))
+    assert chi2_rejects(stat, dof, 0.0125).tolist() == want
+    assert calls == [1, 8]
 
 
 # ---------------------------------------------------------------------------
