@@ -168,8 +168,7 @@ def requisite(
                     if m not in seen and m not in free:
                         free.add(m)
                         stack.append(m)
-    needed.update(n for n in ancestral - needed
-                  if np.count_nonzero(net.cpts[n].rows) < net.cpts[n].rows.size)
+    needed |= ancestral & net.zero_cpts
 
     cpts = sorted(needed, key=net.index)
     reads = {m for n in cpts for m in (*net.parents(n), n) if m in seen}

@@ -177,9 +177,12 @@ class DiscreteNetwork:
     arcs : directed arcs (parent, child).
     cpts : one Cpt per variable, keyed by variable name.
     outcomes : optional designation of the outcome node per time index.
+
+    ``zero_cpts`` holds the names of the CPTs with a structural zero (a
+    zero cell), found once here; CPT rows are read-only, so it stays true.
     """
 
-    __slots__ = ("variables", "arcs", "cpts", "outcomes", "_index", "_children")
+    __slots__ = ("variables", "arcs", "cpts", "outcomes", "zero_cpts", "_index", "_children")
 
     def __init__(
         self,
@@ -192,6 +195,9 @@ class DiscreteNetwork:
         object.__setattr__(self, "arcs", tuple((str(a), str(b)) for a, b in arcs))
         object.__setattr__(self, "cpts", dict(cpts))
         object.__setattr__(self, "outcomes", dict(outcomes or {}))
+        object.__setattr__(self, "zero_cpts", frozenset(
+            name for name, cpt in self.cpts.items()
+            if np.count_nonzero(cpt.rows) < cpt.rows.size))
         object.__setattr__(
             self, "_index", {v.name: i for i, v in enumerate(self.variables)}
         )

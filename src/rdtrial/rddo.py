@@ -72,10 +72,11 @@ class ScoredRecords(abc.Sequence[ScoredRecord]):
 
     Record i has id ids[i], score scores[i] and label labels[i]; its
     evidence is row pattern_of[i] of patterns, the distinct code rows over
-    the evidence columns names (-1 = missing cell). Indexing (negative
-    indices and slices too) and iteration build ScoredRecord items; records
-    with one pattern share one read-only evidence mapping, built when first
-    read.
+    the evidence columns names (-1 = missing cell). Pattern p observes the
+    cells of row mask_of[p] of masks, the distinct observed masks
+    (patterns >= 0) over names. Indexing (negative indices and slices too)
+    and iteration build ScoredRecord items; records with one pattern share
+    one read-only evidence mapping, built when first read.
     """
 
     ids: np.ndarray
@@ -83,6 +84,8 @@ class ScoredRecords(abc.Sequence[ScoredRecord]):
     labels: np.ndarray
     patterns: np.ndarray
     pattern_of: np.ndarray
+    masks: np.ndarray
+    mask_of: np.ndarray
     names: tuple[str, ...]
     threshold: float | None = None  # distance is |score - threshold| when set
     _evidence: dict[int, Mapping[str, int]] = field(default_factory=dict, init=False, repr=False)
@@ -138,28 +141,39 @@ def _positive_state(out_var: VariableDef, positive_state: str | None) -> str:
 def _patterns_by_mask(
     codes: np.ndarray,
     names: Sequence[str],
+    masks: np.ndarray,
+    mask_of: np.ndarray,
     reads: Callable[[list[str]], Iterable[str]],
 ):
     """Group the rows of a code matrix (-1 = missing) by requisite observed set.
 
-    ``reads`` maps a mask's observed names to those its query depends on
-    (inference.requisite); called once per distinct mask, it drops the other
-    cells, so masks that differ only there share one batched query. Yields
-    (rows, read names, distinct patterns, pattern of each row): the patterns
-    are the distinct code rows over the read columns, so one query per
-    group answers every row of it. Groups and patterns come in the
-    lexicographic order of np.unique(axis=0), rows ascending.
+    Row r observes the cells of masks[mask_of[r]], a boolean row over names;
+    masks may repeat a row or hold rows that no code row uses. ``reads``
+    maps a mask's observed names to those its query depends on
+    (inference.requisite); called once per distinct mask that a row uses,
+    it drops the other cells, so masks that differ only there share one
+    batched query. Yields (rows, read names, distinct patterns, pattern of
+    each row): the patterns are the distinct code rows over the read
+    columns, so one query per group answers every row of it. Groups and
+    patterns come in the lexicographic order of np.unique(axis=0), rows
+    ascending.
     """
-    masks, mask_of = unique_rows(codes >= 0)
-    needed = np.zeros(masks.shape, dtype=bool)
-    for mask, row in zip(masks, needed):
-        read = set(reads([names[j] for j in np.flatnonzero(mask)]))
-        row[:] = [n in read for n in names]
-    masks, merged = unique_rows(needed)
-    mask_of = merged[mask_of]
-    groups = np.split(np.argsort(mask_of, kind="stable"), np.cumsum(np.bincount(mask_of))[:-1])
-    for mask, rows in zip(masks, groups):
-        cols = np.flatnonzero(mask)
+    used = np.flatnonzero(np.bincount(mask_of, minlength=len(masks)))
+    observed = list(map(tuple, masks[used].tolist()))
+    read_mask: dict[tuple, tuple] = {}  # observed mask -> the cells its query reads
+    for mask in observed:
+        if mask not in read_mask:
+            read = set(reads([n for n, seen in zip(names, mask) if seen]))
+            read_mask[mask] = tuple(n in read for n in names)
+    groups = sorted(set(read_mask.values()))  # the order np.unique(axis=0) gives
+    group_id = {need: g for g, need in enumerate(groups)}
+    group_of_mask = np.zeros(len(masks), dtype=np.intp)
+    group_of_mask[used] = [group_id[read_mask[mask]] for mask in observed]
+    group_of = group_of_mask[mask_of]
+    splits = np.split(np.argsort(group_of, kind="stable"),
+                      np.cumsum(np.bincount(group_of, minlength=len(groups)))[:-1])
+    for need, rows in zip(groups, splits):
+        cols = [j for j, read in enumerate(need) if read]
         pats, pat_of = unique_rows(codes[np.ix_(rows, cols)])
         yield rows, [names[j] for j in cols], pats, pat_of
 
@@ -180,12 +194,14 @@ def score_cohort(
     evidence has probability zero under the model, are excluded with their
     ids recorded. The fold is grouped once into its distinct rows; records
     with the same row share one score and one evidence pattern of every
-    observed cell. The rows are grouped by the observed cells the outcome's
-    query depends on (inference.requisite): one batched posterior call per
-    group scores every distinct pattern in it, so cost scales with the
-    diversity of the evidence that matters rather than cohort size. The
-    kept records come back as ScoredRecords columns in cohort order; no
-    per-record object is built unless a caller reads one.
+    observed cell, and each pattern keeps its observed mask. The patterns
+    are grouped by the observed cells the outcome's query depends on
+    (inference.requisite): one batched posterior call per group scores
+    every distinct pattern in it, so cost scales with the diversity of the
+    evidence that matters rather than cohort size. The kept records come
+    back as ScoredRecords columns in cohort order, which estimate_effects
+    reads a window from; no per-record object is built unless a caller
+    reads one.
     """
     if outcome is None:
         outcome = _declared_outcome(net, t)
@@ -205,9 +221,11 @@ def score_cohort(
     distinct, of = unique_rows(codes[labeled])
     pattern = np.full(len(cohort), -1)
     pattern[labeled] = of
+    masks, mask_of = unique_rows(distinct >= 0)
     distinct_scores = np.empty(len(distinct))
     for rows, names, pats, pat_of in _patterns_by_mask(
-            distinct, ev_cols, lambda observed: requisite(net, outcome, observed)[1]):
+            distinct, ev_cols, masks, mask_of,
+            lambda observed: requisite(net, outcome, observed)[1]):
         post = posterior(net, outcome, {c: pats[:, j] for j, c in enumerate(names)})
         distinct_scores[rows] = np.broadcast_to(post.probs[..., pos_idx], len(pats))[pat_of]
     scores = np.full(len(cohort), np.nan)
@@ -215,7 +233,8 @@ def score_cohort(
 
     impossible = np.isnan(scores) & (out_codes >= 0)
     kept = np.flatnonzero(~np.isnan(scores))
-    columns = (cohort.ids[kept], scores[kept], out_codes[kept] == pos_idx, distinct, pattern[kept])
+    columns = (cohort.ids[kept], scores[kept], out_codes[kept] == pos_idx, distinct,
+               pattern[kept], masks, mask_of)
     for col in columns:
         col.setflags(write=False)
     records = ScoredRecords(*columns, tuple(ev_cols), None if threshold is None else float(threshold))
@@ -391,7 +410,7 @@ class CategoryEffect:
     mean: float     # nan when every record failed
     std: float      # population std (ddof 0); nan when n = 0
     failures: int   # records whose query had zero-probability evidence
-    values: np.ndarray = field(repr=False)  # window's record-id order, read-only
+    values: np.ndarray = field(repr=False)  # window order, read-only
 
 
 @dataclass(frozen=True)
@@ -415,33 +434,36 @@ class EffectTable:
 
 def estimate_effects(
     net: DiscreteNetwork,
-    window: Cohort,
+    records: ScoredRecords,
+    window: np.ndarray,
     variable: str,
     outcome: str,
     mode: str,
     t: int | None = None,
     positive_state: str | None = None,
 ) -> EffectTable:
-    """Per-category effect sample over the window's records.
+    """Per-category effect sample over a window of scored records.
 
-    ``window`` holds the window's records, as score_cohort takes a cohort;
-    they are read in ascending record id, whatever their row order. For
-    each category x of the variable and each record, the evidence Z is
-    the record's non-missing observations at slices up to the variable's
-    own slice, minus the variable itself and minus every declared outcome
-    node: later-slice observations are mediators of the intervention and
-    conditioning on them (or on any endpoint) would bias the effect. A
-    model node the window has no column for is missing on every record.
+    ``window`` holds the positions of the window's records in ``records``
+    (a fold as score_cohort returns it); they are read in that order, which
+    the pipeline gives as ascending record id. For each category x of the
+    variable and each record, the evidence Z is the record's non-missing
+    observations at slices up to the variable's own slice, minus the
+    variable itself and minus every declared outcome node: later-slice
+    observations are mediators of the intervention and conditioning on
+    them (or on any endpoint) would bias the effect. A model node the
+    records hold no evidence column for is missing on every record.
     Causal mode computes P(outcome | do(variable=x), Z) on the mutilated
     graph and requires a directed path from variable to outcome;
     associational mode computes P(outcome | variable=x, Z). Records whose
     query evidence is impossible are counted as failures for that category,
     so n + failures equals the window size for every category.
 
-    Records are grouped by the cells of Z the query depends on
-    (inference.requisite, the variable observed or, in causal mode,
-    intervened on): per group, every (distinct pattern, category) pair is
-    one row of a single batched query.
+    The window is read as its distinct evidence patterns, which are grouped
+    by the cells of Z the query depends on (inference.requisite, the
+    variable observed or, in causal mode, intervened on), one requisite
+    walk per distinct observed mask: per group, every (distinct pattern,
+    category) pair is one row of a single batched query.
     """
     if mode not in ("causal", "associational"):
         raise ValueError(f"mode must be 'causal' or 'associational', got {mode!r}")
@@ -458,38 +480,59 @@ def estimate_effects(
     s = slice_rank(variable)
     excluded = set(net.outcomes.values()) | {outcome, variable}
 
-    window = window.subset(np.argsort(window.ids, kind="stable"))
-    names = [name for name in net.names if name not in excluded and slice_rank(name) <= s]
-    # a name the window has no column for is a column of -1, part of no mask
-    codes = encode_columns(net, window, names)
+    # Z's columns among the records' evidence columns, in network order
+    cols = sorted((j for j, name in enumerate(records.names)
+                   if name not in excluded and slice_rank(name) <= s),
+                  key=lambda j: net.index(records.names[j]))
+    names = [records.names[j] for j in cols]
+    pattern_of = records.pattern_of[window]
+    # the window's distinct patterns, grouped with their masks cut to Z's columns
+    pats = np.flatnonzero(np.bincount(pattern_of, minlength=len(records.patterns)))
     do = variable if mode == "causal" else None
 
     def reads(observed: list[str]) -> tuple[str, ...]:
         return requisite(net, outcome, [*observed, variable], do)[1]
 
-    # per record and category; nan where the query evidence is impossible
-    values = np.empty((len(window), var.card))
-    for rows, observed, pats, pat_of in _patterns_by_mask(codes, names, reads):
+    # per category and pattern of the records; nan where the query evidence
+    # is impossible, unset on the patterns outside the window
+    by_pattern = np.empty((var.card, len(records.patterns)))
+    for rows, observed, ev_pats, ev_of in _patterns_by_mask(
+            records.patterns[np.ix_(pats, cols)], names, records.masks[:, cols],
+            records.mask_of[pats], reads):
         # one batch row per (pattern, category), categories varying fastest
-        ev = {name: np.repeat(pats[:, j], var.card) for j, name in enumerate(observed)}
-        x = np.tile(np.arange(var.card), len(pats))
+        ev = {name: np.repeat(ev_pats[:, j], var.card) for j, name in enumerate(observed)}
+        x = np.tile(np.arange(var.card), len(ev_pats))
         if mode == "causal":
             post = do_posterior(net, outcome, (variable, x), ev)
         else:
             post = posterior(net, outcome, {**ev, variable: x})
-        values[rows] = post.probs[:, pos_idx].reshape(len(pats), var.card)[pat_of]
+        by_pattern[:, pats[rows]] = post.probs[:, pos_idx].reshape(len(ev_pats), var.card)[ev_of].T
 
+    # (categories, records), C-contiguous: each row reduces along its length
+    # in the pairwise order that a 1-D array of its values takes
+    values = np.take(by_pattern, pattern_of, axis=1)
+    values.setflags(write=False)
+    ok = ~np.isnan(values)
+    moments = {}  # category -> (mean, std), for the categories with no failure
+    if len(window):
+        whole = np.flatnonzero(ok.all(axis=1))
+        sample = values[whole]
+        moments = dict(zip(whole.tolist(), zip(sample.mean(axis=1).tolist(),
+                                               sample.std(axis=1).tolist())))
     cats: list[CategoryEffect] = []
     for x in range(var.card):
-        ok = ~np.isnan(values[:, x])
-        arr = values[ok, x]
-        arr.setflags(write=False)
+        if x in moments:
+            arr, (mean, std) = values[x], moments[x]
+        else:
+            arr = values[x, ok[x]]
+            arr.setflags(write=False)
+            mean, std = (float(arr.mean()), float(arr.std())) if arr.size else (math.nan, math.nan)
         cats.append(CategoryEffect(
             category=var.states[x],
             n=int(arr.size),
-            mean=float(arr.mean()) if arr.size else float("nan"),
-            std=float(arr.std()) if arr.size else float("nan"),
-            failures=int(ok.size - arr.size),
+            mean=mean,
+            std=std,
+            failures=len(window) - int(arr.size),
             values=arr,
         ))
     t_out = int(out_rank) if t is None else int(t)
@@ -865,37 +908,49 @@ def run_rd_do(config: RunConfig) -> RdDoReport:
     results: list[TimePointResult] = []
     for t in time_points:
         out_node = outcome_by_t[t]
+        reason = None
         if isinstance(config.thresholds, str):
             vs = score_cohort(net, valid, t, out_node, config.positive_state)
             thr, _ = youden_threshold(vs.scores, vs.labels.astype(np.int64))
+            if not math.isfinite(thr):
+                # ties go to the larger threshold: +inf when no threshold
+                # makes J positive, and every score falls on one side of it
+                reason = (f"the Youden threshold is {thr}: no threshold on the "
+                          "validation scores separates the outcome classes")
+                thr = None
         else:
             if t not in config.thresholds:
                 raise ConfigError(f"no threshold configured for time point {t}")
             thr = float(config.thresholds[t])
 
         scoring = score_cohort(net, test, t, out_node, config.positive_state, threshold=thr)
-        try:
-            reports = scan_windows(
-                net, scoring.records, thr, covariates,
-                alpha=config.alpha, k_min=config.k_min,
-                k_step=config.k_step, k_max=config.k_max,
-            )
-        except TooFewRecords as exc:
-            reports, window, reason = [], None, str(exc)
-        else:
-            window = select_window(reports)
-            reason = None if window is not None else "no window passed the covariate gate"
+        reports, window = [], None
+        if reason is None:
+            try:
+                reports = scan_windows(
+                    net, scoring.records, thr, covariates,
+                    alpha=config.alpha, k_min=config.k_min,
+                    k_step=config.k_step, k_max=config.k_max,
+                )
+            except TooFewRecords as exc:
+                reason = str(exc)
+            else:
+                window = select_window(reports)
+                if window is None:
+                    reason = "no window passed the covariate gate"
 
         tables: list[EffectTable] = []
         rejected: list[RejectedQuery] = []
         if window is not None:
-            members = test.subset(np.flatnonzero(np.isin(test.ids, window.member_ids)))
+            # positions in the fold, in cohort order: ascending record id for
+            # a cohort read from CSV and its folds
+            members = np.flatnonzero(np.isin(scoring.records.ids, window.member_ids))
             for mode in config.modes:
                 mode_tables = []
                 for variable in variables_by_t[t]:
                     try:
                         tbl = estimate_effects(
-                            net, members, variable, out_node, mode,
+                            net, scoring.records, members, variable, out_node, mode,
                             t=t, positive_state=config.positive_state,
                         )
                     except NoCausalPath as exc:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
-from rdtrial.cohort import MISSING, Cohort, unique_rows
+from rdtrial.cohort import MISSING, Cohort, encode_columns, unique_rows
 from rdtrial.errors import DataError, DegenerateTable, UnknownState
 from rdtrial.inference import posterior
 from rdtrial.model import Cpt, DbnTemplate, DiscreteNetwork, VariableDef, slice_rank, unroll
@@ -60,14 +60,18 @@ def with_structural_zeros(
     Every row keeps at least one nonzero cell and is renormalized, so some
     evidence patterns become impossible while the network stays valid.
     """
-    cpts: dict[str, Cpt] = {}
-    for name, cpt in net.cpts.items():
-        rows = cpt.rows.copy()
-        zero = rng.random(rows.shape) < frac
-        zero[np.arange(len(rows)), rng.integers(0, rows.shape[1], size=len(rows))] = False
-        rows[zero] = 0.0
-        cpts[name] = Cpt(cpt.child, cpt.parents, rows / rows.sum(axis=1, keepdims=True))
+    cpts = {name: _with_zero_cells(cpt, rng, frac) for name, cpt in net.cpts.items()}
     return DiscreteNetwork(net.variables, net.arcs, cpts, net.outcomes)
+
+
+def _with_zero_cells(cpt: Cpt, rng: np.random.Generator, frac: float) -> Cpt:
+    """Copy of cpt with about frac of its cells zero; each row keeps one
+    nonzero cell and is renormalized."""
+    rows = cpt.rows.copy()
+    zero = rng.random(rows.shape) < frac
+    zero[np.arange(len(rows)), rng.integers(0, rows.shape[1], size=len(rows))] = False
+    rows[zero] = 0.0
+    return Cpt(cpt.child, cpt.parents, rows / rows.sum(axis=1, keepdims=True))
 
 
 def disjoint_union(a: DiscreteNetwork, b: DiscreteNetwork) -> DiscreteNetwork:
@@ -84,11 +88,18 @@ def disjoint_union(a: DiscreteNetwork, b: DiscreteNetwork) -> DiscreteNetwork:
 
 
 def panel_network(rng: np.random.Generator, horizon: int = 3) -> DiscreteNetwork:
-    """A panel template unrolled over slices 0..horizon, Dirichlet CPT rows.
+    """panel_template(rng) unrolled over slices 0..horizon; horizon 3 gives
+    14 nodes."""
+    return unroll(panel_template(rng), horizon)
+
+
+def panel_template(rng: np.random.Generator, zero_frac: float = 0.0) -> DbnTemplate:
+    """A panel template with Dirichlet CPT rows, about zero_frac of their
+    cells set to zero (structural zeros; every row keeps one nonzero cell).
 
     A static and an entry variable feed lab@0; each slice holds lab -> drug
     -> out with lab -> out, and lab and drug carry over to the next slice
-    (drug also into the next lab). Horizon 3 gives 14 nodes.
+    (drug also into the next lab).
     """
     variables = (
         VariableDef("sex", ("f", "m"), kind="static"),
@@ -111,9 +122,10 @@ def panel_network(rng: np.random.Generator, horizon: int = 3) -> DiscreteNetwork
     cpts = {}
     for key, parents in families.items():
         n_cfg = int(np.prod([card[base(p)] for p in parents])) if parents else 1
-        cpts[key] = Cpt(key, parents, rng.dirichlet(np.ones(card[base(key)]), size=n_cfg))
+        cpt = Cpt(key, parents, rng.dirichlet(np.ones(card[base(key)]), size=n_cfg))
+        cpts[key] = _with_zero_cells(cpt, rng, zero_frac) if zero_frac else cpt
     arcs = (("lab", "drug"), ("lab", "out"), ("drug", "out"))
-    template = DbnTemplate(
+    return DbnTemplate(
         variables=variables,
         slice0_arcs=arcs,
         intra_arcs=arcs,
@@ -121,7 +133,6 @@ def panel_network(rng: np.random.Generator, horizon: int = 3) -> DiscreteNetwork
         static_arcs=(("sex", "lab", (0,)), ("age", "lab", (0,))),
         cpts=cpts,
     )
-    return unroll(template, horizon)
 
 
 def random_evidence(
@@ -228,8 +239,55 @@ def scored_records(scores, labels, names=(), codes=None, ids=None, threshold=Non
     if codes is None:
         codes = np.full((n, len(names)), -1, dtype=np.int64)
     patterns, pattern_of = unique_rows(np.asarray(codes, dtype=np.int64).reshape(n, len(names)))
+    masks, mask_of = unique_rows(patterns >= 0)
     return ScoredRecords(ids, scores, np.asarray(labels, dtype=bool), patterns, pattern_of,
-                         tuple(names), threshold)
+                         masks, mask_of, tuple(names), threshold)
+
+
+def window_records(net: DiscreteNetwork, cohort: Cohort) -> tuple[ScoredRecords, np.ndarray]:
+    """A cohort as the (records, window) pair that ``rddo.estimate_effects``
+    takes: scored records whose evidence is every cohort column the network
+    holds, and the positions that read them in ascending record id. Scores
+    and labels are placeholders; no query runs."""
+    names = [c for c in cohort.columns if c in net]
+    n = len(cohort)
+    records = scored_records(np.zeros(n), np.zeros(n, dtype=bool), names,
+                             encode_columns(net, cohort, names), cohort.ids)
+    return records, np.argsort(cohort.ids, kind="stable")
+
+
+def reference_requisite(net: DiscreteNetwork, target: str, observed, intervention=None):
+    """Reference for ``inference.requisite``: the same walk, with each
+    ancestral CPT tested for a structural zero by a count of its nonzero
+    cells on every call."""
+    seen = set(observed)
+    if intervention is not None:
+        seen.add(intervention)
+    ancestral: set[str] = set()
+    stack = [target, *seen]
+    while stack:
+        name = stack.pop()
+        if name not in ancestral:
+            ancestral.add(name)
+            if name != intervention:
+                stack.extend(net.parents(name))
+    ancestral.discard(intervention)
+    needed: set[str] = set()
+    free, stack = {target}, [target]
+    while stack:
+        v = stack.pop()
+        for name in (v, *net.children(v)):
+            if name in ancestral and name not in needed:
+                needed.add(name)
+                for m in (*net.parents(name), name):
+                    if m not in seen and m not in free:
+                        free.add(m)
+                        stack.append(m)
+    needed.update(n for n in ancestral - needed
+                  if np.count_nonzero(net.cpts[n].rows) < net.cpts[n].rows.size)
+    cpts = sorted(needed, key=net.index)
+    reads = {m for n in cpts for m in (*net.parents(n), n) if m in seen}
+    return tuple(cpts), tuple(sorted(reads, key=net.index))
 
 
 def reference_sample_cohort(spec: ScenarioSpec) -> Cohort:

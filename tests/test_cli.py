@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from rdtrial.cli import _PARSER, EFFECTS_HEADER, WINDOWS_HEADER, _build_parser, dispatch
-from rdtrial.cohort import Cohort, write_cohort_csv
+from rdtrial.cohort import Cohort, read_cohort_csv, write_cohort_csv
 from rdtrial.modelio import load_model, network_to_dict, save_model
 from rdtrial.rddo import load_run_config, parse_run_config
 from rdtrial.synth import confounded_triple, make_confounded_scenario, sample_cohort
@@ -485,6 +485,32 @@ def test_rddo_no_window_still_writes_valid_files(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["best_time_point"] is None
     assert report["time_points"][0]["reason"]
+
+
+def test_rddo_youden_threshold_that_separates_nothing_ends_the_time_point(tmp_path, capsys):
+    # cut to its outcome column, every record scores the outcome's prior, so
+    # no threshold separates the classes: Youden's J ties at 0 up to +inf
+    scenario = tmp_path / "scenario"
+    assert dispatch(["synth", "--n", "2000", "--seed", "1", "--out", str(scenario)]) == 0
+    cohort = read_cohort_csv(scenario / "cohort.csv")
+    j = cohort.col_index("outcome@1")
+    write_cohort_csv(Cohort(("outcome@1",), cohort.codes[:, [j]], (cohort.labels[j],)),
+                     tmp_path / "outcome-only.csv")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert dispatch(["rddo", "--model", str(scenario / "model.json"),
+                     "--cohort", str(tmp_path / "outcome-only.csv"), "--out", str(out)]) == 0
+    assert "t=1: no_random_window (the Youden threshold is inf" in capsys.readouterr().out
+
+    with (out / "windows.csv").open(newline="") as fh:
+        wrows = list(csv.reader(fh))
+    assert wrows == [WINDOWS_HEADER, ["1", "no_random_window", "", "", ""]]
+    assert "inf" not in (out / "windows.csv").read_text()
+    with (out / "effects.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [EFFECTS_HEADER]
+    (tp,) = json.loads((out / "report.json").read_text())["time_points"]
+    assert "Youden threshold" in tp["reason"]
+    assert (tp["threshold"], tp["window"], tp["n_windows"], tp["tables"]) == (None, None, 0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,17 @@ from rdtrial.inference import (
     requisite,
     row_log_likelihoods,
 )
-from rdtrial.model import Cpt, DiscreteNetwork, VariableDef, mutilate
+from rdtrial.model import Cpt, DiscreteNetwork, VariableDef, mutilate, unroll
+from rdtrial.modelio import network_from_dict, network_to_dict
 from rdtrial.synth import confounded_triple
 
 from helpers import (
     chain_network,
     disjoint_union,
+    panel_template,
     random_evidence,
     random_network,
+    reference_requisite,
     with_structural_zeros,
 )
 
@@ -636,6 +639,31 @@ def test_requisite_cuts_barren_nodes_and_the_arcs_out_of_evidence():
     assert requisite(chain, "c", ["a", "b"]) == (("c",), ("b",))
     assert requisite(chain, "c", ["a"], "b") == (("c",), ("b",))
     assert requisite(chain, "a", ["c"], "b") == (("a",), ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_requisite_equals_the_per_call_structural_zero_check(seed):
+    # the zero set a network records when it is built, however it is built,
+    # gives the sets a per-call count of each CPT's nonzero cells gives
+    rng = np.random.default_rng(seed)
+    zeros = with_structural_zeros(random_network(rng, min_nodes=2, max_nodes=8), rng)
+    nets = [
+        zeros,
+        network_from_dict(network_to_dict(zeros)),
+        unroll(panel_template(rng, zero_frac=0.3), int(rng.integers(1, 4))),
+        random_network(rng, min_nodes=2, max_nodes=6),
+    ]
+    for net in [*nets, mutilate(zeros, zeros.names[-1])]:
+        assert net.zero_cpts == {n for n, cpt in net.cpts.items()
+                                 if np.count_nonzero(cpt.rows) < cpt.rows.size}
+        for _ in range(4):
+            target, *others = rng.permutation(net.names).tolist()
+            observed = [n for n in others if rng.random() < 0.5]
+            free = [n for n in others if n not in observed]
+            for x in (None, *free[:1], *observed[:1]):
+                seen = [n for n in observed if n != x]
+                assert requisite(net, target, seen, x) == reference_requisite(net, target, seen, x)
 
 
 def test_requisite_keeps_ancestral_cpts_with_structural_zeros():

@@ -1,6 +1,7 @@
 """Window extraction and effect estimation around a decision threshold."""
 from __future__ import annotations
 
+from collections import Counter
 from types import MappingProxyType
 
 import numpy as np
@@ -19,7 +20,14 @@ from rdtrial.errors import (
     ZeroProbabilityEvidence,
 )
 from rdtrial.inference import do_posterior, posterior
-from rdtrial.model import Cpt, DiscreteNetwork, VariableDef, has_directed_path, slice_rank
+from rdtrial.model import (
+    Cpt,
+    DiscreteNetwork,
+    VariableDef,
+    has_directed_path,
+    slice_rank,
+    unroll,
+)
 from rdtrial.modelio import save_model
 from rdtrial.rddo import (
     RunConfig,
@@ -33,16 +41,18 @@ from rdtrial.rddo import (
     score_cohort,
     select_window,
 )
-from rdtrial.synth import confounded_triple, make_confounded_scenario, sample_cohort
+from rdtrial.synth import ScenarioSpec, confounded_triple, make_confounded_scenario, sample_cohort
 
 from helpers import (
     chain_network,
     disjoint_union,
     panel_network,
+    panel_template,
     random_network,
     reference_chi2_homogeneity,
     sample_power,
     scored_records,
+    window_records,
     with_structural_zeros,
 )
 
@@ -595,9 +605,9 @@ def test_estimate_effects_with_observed_confounder():
     # Z in evidence blocks the back door: per-record causal and
     # associational values coincide and depend on the record's z
     net = confounded_triple()
-    records = _window(net, [{"z": 0}, {"z": 1}])
-    assoc = estimate_effects(net, records, "x", "y", "associational", t=1)
-    causal = estimate_effects(net, records, "x", "y", "causal", t=1)
+    window = window_records(net, _window(net, [{"z": 0}, {"z": 1}]))
+    assoc = estimate_effects(net, *window, "x", "y", "associational", t=1)
+    causal = estimate_effects(net, *window, "x", "y", "causal", t=1)
     for table in (assoc, causal):
         x1 = table.categories[1]
         np.testing.assert_allclose(x1.values, [0.3, 0.7], atol=1e-12)
@@ -611,9 +621,9 @@ def test_estimate_effects_with_latent_confounder():
     # Z unobserved: the two modes disagree by exactly the designed bias and
     # every record gets the same constant value (std exactly zero)
     net = confounded_triple()
-    records = _window(net, [{}] * 8)
-    assoc = estimate_effects(net, records, "x", "y", "associational", t=1)
-    causal = estimate_effects(net, records, "x", "y", "causal", t=1)
+    window = window_records(net, _window(net, [{}] * 8))
+    assoc = estimate_effects(net, *window, "x", "y", "associational", t=1)
+    causal = estimate_effects(net, *window, "x", "y", "causal", t=1)
     assert assoc.categories[1].mean == pytest.approx(0.62, abs=1e-12)
     assert causal.categories[1].mean == pytest.approx(0.50, abs=1e-12)
     assert assoc.categories[0].mean == pytest.approx(0.24, abs=1e-12)
@@ -641,14 +651,15 @@ def test_estimate_effects_failure_conservation():
         },
     )
     records = _window(net, [{"z": 0}, {"z": 0}, {"z": 1}])
-    assoc = estimate_effects(net, records, "x", "y", "associational", t=1)
+    window = window_records(net, records)
+    assoc = estimate_effects(net, *window, "x", "y", "associational", t=1)
     by_cat = {c.category: c for c in assoc.categories}
     assert by_cat["1"].failures == 2 and by_cat["1"].n == 1
     assert by_cat["0"].failures == 1 and by_cat["0"].n == 2
     for cat in assoc.categories:
         assert cat.n + cat.failures == len(records)
     # the mutilated graph severs z -> x, so causal mode has no failures
-    causal = estimate_effects(net, records, "x", "y", "causal", t=1)
+    causal = estimate_effects(net, *window, "x", "y", "causal", t=1)
     for cat in causal.categories:
         assert cat.failures == 0 and cat.n == 3
 
@@ -699,7 +710,7 @@ def test_estimate_effects_matches_a_per_record_reference_loop(seed):
     records = Cohort(net.names, codes, [v.states for v in net.variables],
                      rng.permutation(len(codes)))
     for mode in _modes(net, variable, outcome):
-        table = estimate_effects(net, records, variable, outcome, mode, t=1)
+        table = estimate_effects(net, *window_records(net, records), variable, outcome, mode, t=1)
         want = _reference_effects(net, records, variable, outcome, mode)
         _assert_matches_reference(table, want)
 
@@ -726,8 +737,34 @@ def test_estimate_effects_on_random_window_cohorts_matches_the_reference_loop(da
     codes[:, -1] = rng.integers(-1, 2, n)
     window = Cohort([*columns, "not-a-node"], codes, [*labels, ("u", "v")], ids)
     for mode in _modes(net, variable, outcome):
-        table = estimate_effects(net, window, variable, outcome, mode, t=1)
+        table = estimate_effects(net, *window_records(net, window), variable, outcome, mode, t=1)
         _assert_matches_reference(table, _reference_effects(net, window, variable, outcome, mode))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_estimate_effects_on_windows_of_a_scored_fold_matches_the_reference_loop(data):
+    # the pipeline's input: a fold scored once (MCAR cells, structural zeros,
+    # ids ascending and sparse), then windows drawn from its kept records,
+    # each read for several variables in both modes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    net = with_structural_zeros(random_network(rng, min_nodes=3, max_nodes=7), rng)
+    outcome = data.draw(st.sampled_from(net.names))
+    n = data.draw(st.integers(1, 40))
+    codes = _random_rows(rng, net, net.names, n, p_missing=data.draw(st.floats(0.0, 0.8)))
+    ids = np.sort(rng.choice(10**9, size=n, replace=False))
+    fold = Cohort(net.names, codes, [v.states for v in net.variables], ids)
+    records = score_cohort(net, fold, t=1, outcome=outcome).records
+    variables = data.draw(st.lists(st.sampled_from([v for v in net.names if v != outcome]),
+                                   min_size=1, max_size=3, unique=True))
+    for _ in range(2):
+        window = np.flatnonzero(rng.random(len(records)) < data.draw(st.floats(0.0, 1.0)))
+        members = fold.subset(np.flatnonzero(np.isin(fold.ids, records.ids[window])))
+        for variable in variables:
+            for mode in _modes(net, variable, outcome):
+                table = estimate_effects(net, records, window, variable, outcome, mode, t=1)
+                _assert_matches_reference(
+                    table, _reference_effects(net, members, variable, outcome, mode))
 
 
 @pytest.mark.parametrize("mode, query", [("causal", "do_posterior"),
@@ -738,7 +775,7 @@ def test_estimate_effects_groups_records_by_requisite_evidence(monkeypatch, mode
     net = chain_network()
     records = _window(net, [{"a": 0}, {"a": 1}, {}, {"a": 1}])
     calls = _counting(monkeypatch, query)
-    table = estimate_effects(net, records, "b", "c", mode, t=1)
+    table = estimate_effects(net, *window_records(net, records), "b", "c", mode, t=1)
     assert len(calls) == 1 and "a" not in calls[0]
     for x, cat in enumerate(table.categories):
         assert cat.n == len(records) and cat.failures == 0
@@ -757,7 +794,7 @@ def test_estimate_effects_accounts_for_every_record_on_structural_zeros(seed):
     codes = _random_rows(rng, net, net.names, int(rng.integers(1, 25)))
     records = Cohort(net.names, codes, [v.states for v in net.variables])
     for mode in _modes(net, variable, outcome):
-        table = estimate_effects(net, records, variable, outcome, mode, t=1)
+        table = estimate_effects(net, *window_records(net, records), variable, outcome, mode, t=1)
         want = _reference_effects(net, records, variable, outcome, mode)
         for cat, vals in zip(table.categories, want):
             assert cat.n + cat.failures == len(records)
@@ -766,22 +803,21 @@ def test_estimate_effects_accounts_for_every_record_on_structural_zeros(seed):
 
 def test_estimate_effects_rejects_bad_queries():
     net = confounded_triple()
-    records = _window(net, [{}])
+    window = window_records(net, _window(net, [{}]))
     with pytest.raises(ValueError, match="mode"):
-        estimate_effects(net, records, "x", "y", "acausal", t=1)
+        estimate_effects(net, *window, "x", "y", "acausal", t=1)
     # y itself cannot precede y
     with pytest.raises(ValueError, match="precede"):
-        estimate_effects(net, records, "y", "y", "associational")
+        estimate_effects(net, *window, "y", "y", "associational")
 
 
 def test_estimate_effects_no_causal_path():
     spec = make_confounded_scenario(n=10)
-    records = _window(spec.network, [{}])
+    window = window_records(spec.network, _window(spec.network, [{}]))
     with pytest.raises(NoCausalPath):
-        estimate_effects(spec.network, records, "noise@0", spec.outcome, "causal")
+        estimate_effects(spec.network, *window, "noise@0", spec.outcome, "causal")
     # associational mode still answers (flat, but defined)
-    table = estimate_effects(spec.network, records, "noise@0", spec.outcome,
-                             "associational")
+    table = estimate_effects(spec.network, *window, "noise@0", spec.outcome, "associational")
     assert table.mode == "associational"
 
 
@@ -790,18 +826,22 @@ def test_estimate_effects_drops_later_slice_evidence():
     # result matches a query conditioned on the slice-0 values only
     spec = make_confounded_scenario(n=10)
     net = spec.network
-    records = _window(net, [{"cov_a@0": 2, "shift_a@1": 0, spec.outcome: 1}])
-    table = estimate_effects(net, records, "treat@0", spec.outcome, "associational")
+    window = window_records(net, _window(net, [{"cov_a@0": 2, "shift_a@1": 0, spec.outcome: 1}]))
+    table = estimate_effects(net, *window, "treat@0", spec.outcome, "associational")
     yes = net.state_index("treat@0", "yes")
     want = posterior(net, spec.outcome, {"treat@0": yes, "cov_a@0": 2})[1]
     assert table.categories[yes].values[0] == pytest.approx(want, abs=1e-15)
 
 
 def test_estimate_effects_record_order_is_by_id():
+    # window_records reads the records in ascending id; the values follow
+    # whatever order the window gives
     net = confounded_triple()
-    records = _window(net, [{"z": 1}, {"z": 0}], ids=[5, 2])
-    table = estimate_effects(net, records, "x", "y", "associational", t=1)
+    records, window = window_records(net, _window(net, [{"z": 1}, {"z": 0}], ids=[5, 2]))
+    table = estimate_effects(net, records, window, "x", "y", "associational", t=1)
     np.testing.assert_allclose(table.categories[1].values, [0.3, 0.7], atol=1e-12)
+    table = estimate_effects(net, records, window[::-1], "x", "y", "associational", t=1)
+    np.testing.assert_allclose(table.categories[1].values, [0.7, 0.3], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,6 +1101,58 @@ def test_run_rd_do_builds_no_scored_record_and_few_chi2_tails(tmp_path, monkeypa
     assert tp.status == "ok" and made == []
     # the gate decides 1,301 windows x 5 covariates mostly from the statistic
     assert 0 < sum(tails) < tp.n_windows * len(report.covariates)
+
+
+# posterior + do_posterior calls on the config below (51 + 25), as many as
+# when each table encoded its own copy of the window
+_PANEL_RUN_QUERIES = 76
+
+
+def test_run_rd_do_encodes_each_fold_once_and_subsets_no_window(tmp_path, monkeypatch):
+    # a 3-time-point template run: score_cohort encodes each fold it scores
+    # once, and the effect tables read their window from the scored columns,
+    # so no table encodes or subsets it and the queries stay as they were
+    template = panel_template(np.random.default_rng(5))
+    spec = ScenarioSpec(network=unroll(template, 3), n=1500, seed=5, treatment="drug@0",
+                        outcome="out@3", positive_state="yes", covariates=("sex", "age@entry"),
+                        mcar={f"lab@{t}": 0.1 for t in range(4)})
+    save_model(template, tmp_path / "model.json")
+    write_cohort_csv(sample_cohort(spec), tmp_path / "cohort.csv")
+    config = RunConfig(model_path=str(tmp_path / "model.json"),
+                       cohort_path=str(tmp_path / "cohort.csv"), outcome_base="out",
+                       time_points=(1, 2, 3), covariates=("sex", "age@entry"), alpha=0.01,
+                       k_min=100, k_max=100, k_step=100)
+    calls = Counter()  # (name, the innermost counted call open, or None) -> calls
+    open_calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name, open_calls[-1] if open_calls else None] += 1
+            open_calls.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+        return wrapper
+
+    for name in ("score_cohort", "encode_columns", "estimate_effects", "posterior", "do_posterior"):
+        monkeypatch.setattr(rddo, name, counted(name, getattr(rddo, name)))
+    monkeypatch.setattr(Cohort, "subset", counted("subset", Cohort.subset))
+    report = run_rd_do(config)
+    assert [tp.status for tp in report.time_points] == ["ok"] * 3
+
+    def total(name):
+        return sum(n for (called, _), n in calls.items() if called == name)
+
+    assert calls["estimate_effects", None] == sum(
+        len(tp.tables) + len(tp.rejected) for tp in report.time_points)
+    # one Youden scoring of the validation fold and one of the test fold
+    # per t, each encoding its fold once
+    assert calls["score_cohort", None] == calls["encode_columns", "score_cohort"] == 6
+    assert total("encode_columns") == 6
+    # the split's three folds, and nothing per window or table
+    assert calls["subset", None] == total("subset") == 3
+    assert total("posterior") + total("do_posterior") == _PANEL_RUN_QUERIES
 
 
 def test_run_rd_do_rejects_unknown_cohort_column(tmp_path):
