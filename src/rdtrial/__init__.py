@@ -63,7 +63,6 @@ from .modelio import load_model, save_model
 from .preprocess import (
     BinningScheme,
     PlausibilityRange,
-    apply_bins,
     apply_plausibility,
     bin_column,
     mdlp_cuts,
@@ -98,7 +97,6 @@ from .stats import (
 )
 from .synth import (
     ScenarioSpec,
-    confounded_triple,
     make_confounded_scenario,
     sample_cohort,
     solve_gap,
@@ -122,7 +120,7 @@ __all__ = [
     "FitReport", "mle_fit", "em_fit", "stratified_split",
     # preprocess
     "PlausibilityRange", "apply_plausibility", "BinningScheme",
-    "mdlp_cuts", "apply_bins", "bin_column", "numeric_column",
+    "mdlp_cuts", "bin_column", "numeric_column",
     # stats
     "TestResult", "chi2_homogeneity", "chi2_p_value", "chi2_rejects",
     "ks_two_sample", "bonferroni_alpha", "youden_threshold",
@@ -134,7 +132,7 @@ __all__ = [
     "select_window", "estimate_effects", "rank_effects", "run_rd_do",
     "parse_run_config", "load_run_config",
     # synth
-    "ScenarioSpec", "solve_gap", "confounded_triple",
+    "ScenarioSpec", "solve_gap",
     "make_confounded_scenario", "sample_cohort", "true_interventional",
     # errors
     "RdTrialError", "InvalidModel", "CyclicGraph", "UnnormalizedCpt",

@@ -11,7 +11,9 @@ every downstream tie-break and reduction is stable.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -59,28 +61,15 @@ class Cohort:
     ) -> "Cohort":
         """Cohort from rows of string cells; None and "" are missing.
 
-        Equal rows share one code through a dict, and only the distinct rows
-        are split into columns and factorized, so a record costs one tuple
-        hash. ``rows`` is read once. A row whose cell count differs from the
-        column count raises RaggedRow with the first such row's position.
+        ``rows`` is read once. Equal rows share one number through a dict,
+        so a record costs one tuple hash, and only the distinct rows are
+        factorized, by the column factorizer :func:`read_cohort_csv` also
+        uses. A row whose cell count differs from the column count raises
+        RaggedRow with the first such row's position.
         """
-        columns = tuple(columns)
-        seen: dict[tuple, int] = {}
-        record = np.fromiter((seen.setdefault(tuple(row), len(seen)) for row in rows),
-                             dtype=np.intp)
-        for k, row in enumerate(seen):  # in order of first appearance
-            if len(row) != len(columns):
-                raise RaggedRow(int(np.argmax(record == k)), len(row), len(columns))
-        labels = [()] * len(columns)
-        table = np.empty((len(columns), len(seen)), dtype=np.int64)
-        for j, cells in enumerate(zip(*seen)):
-            held = dict.fromkeys(cells)  # in order of first appearance
-            held.pop(None, None)
-            held.pop(MISSING, None)
-            labels[j] = tuple(held)
-            code = {label: i for i, label in enumerate(held)} | {None: -1, MISSING: -1}
-            table[j] = np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))
-        return cls(columns, table.T[record], labels, ids)
+        distinct = _Numbering()
+        record = np.fromiter(map(distinct.__getitem__, map(tuple, rows)), dtype=np.intp)
+        return _expand(tuple(columns), list(distinct), record, ids)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -117,26 +106,101 @@ def _label_rows(cohort: Cohort) -> Iterable[tuple[str | None, ...]]:
     return zip(*map(cohort.column, cohort.columns))
 
 
+class _Numbering(dict):
+    """``numbering[key]`` is the key's number among the distinct keys in
+    order of first lookup; a key met for the first time gets the next one."""
+
+    def __missing__(self, key):
+        self[key] = number = len(self)
+        return number
+
+
+def _expand(
+    columns: tuple[str, ...],
+    rows: list[Sequence[str | None]],
+    record: np.ndarray,
+    ids: Sequence[int] | np.ndarray | None = None,
+) -> Cohort:
+    """The cohort whose record r holds the cells ``rows[record[r]]``.
+
+    ``rows`` are in order of first appearance among the records (two may
+    hold equal cells). Each column's cells are numbered in one pass, then
+    the missing ones map to -1 and the labels are renumbered; the record
+    index expands the codes. A row whose cell count differs from the column
+    count raises RaggedRow with the first record that holds it.
+    """
+    width = len(columns)
+    if set(map(len, rows)) - {width}:
+        k = next(k for k, row in enumerate(rows) if len(row) != width)
+        raise RaggedRow(int(np.argmax(record == k)), len(rows[k]), width)
+    cells = list(chain.from_iterable(rows))
+    labels = []
+    table = np.empty((len(rows), width), dtype=np.int64)
+    for j in range(width):
+        number = _Numbering()  # of each cell, in order of first appearance
+        first = np.fromiter(map(number.__getitem__, cells[j::width]), dtype=np.intp,
+                            count=len(rows))
+        held = [cell is not None and cell != MISSING for cell in number]
+        labels.append(tuple(compress(number, held)))
+        table[:, j] = np.where(held, np.cumsum(held) - 1, -1)[first]
+    distinct = Cohort(columns, table, labels)  # its codes narrowed before they expand
+    return Cohort(columns, distinct.codes[record], distinct.labels, ids)
+
+
 def read_cohort_csv(path: str | Path) -> Cohort:
-    """Read a cohort CSV: a header row, then one row per record. The rows
-    stream into :meth:`Cohort.from_rows`; none is kept."""
+    """Read a cohort CSV: a header row, then one row per record.
+
+    The lines after the header stream past once, each numbered among the
+    distinct lines, so a repeated line costs one dict lookup. If no distinct
+    line holds a ``"``, each record is one line: csv.reader parses each
+    distinct line once, and the rows expand as in :meth:`Cohort.from_rows`.
+    Otherwise a quoted cell may hold a line break, and csv.reader reads the
+    lines again in file order, its rows streaming into
+    :meth:`Cohort.from_rows`. Both give the same cohort.
+
+    DataError names the file for an empty file, a header naming a column
+    twice, a row whose cell count differs from the header's, a cell csv
+    cannot read (one over ``csv.field_size_limit()``) and bytes that are not
+    UTF-8. Rows are numbered from the header's 1; a csv error names the row
+    where each record is one line, and the line otherwise.
+    """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        columns = tuple(h.strip() for h in header)
-        if len(set(columns)) != len(columns):
-            twice = next(c for i, c in enumerate(columns) if c in columns[:i])
-            raise DataError(f"{path}: column {twice!r} appears twice in the header")
-        try:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            columns = tuple(h.strip() for h in header)
+            if len(set(columns)) != len(columns):
+                twice = next(c for i, c in enumerate(columns) if c in columns[:i])
+                raise DataError(f"{path}: column {twice!r} appears twice in the header")
+            head = reader.line_num  # the lines the header takes
+            # opened with newline="", the file iterates over exactly the
+            # lines csv.reader(fh) pulls
+            lines = _Numbering()
+            line_of = np.fromiter(map(lines.__getitem__, fh), dtype=np.intp)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} "
+                        f"({exc.object[exc.start:exc.end]!r})") from None
+    distinct = list(lines)
+    quoted = any(map(operator.contains, distinct, repeat('"')))
+    reader = csv.reader(map(distinct.__getitem__, line_of) if quoted else distinct)
+    try:
+        if quoted:
             return Cohort.from_rows(columns, reader)
-        except RaggedRow as exc:  # the header is line 1
-            raise DataError(
-                f"{path}: row {exc.position + 2} has {exc.cells} cells, header has {len(columns)}"
-            ) from None
+        return _expand(columns, list(reader), line_of)
+    except csv.Error as exc:  # named by its line, or by the first record on that line
+        where = (f"line {head + reader.line_num}" if quoted else
+                 f"row {int(np.argmax(line_of == reader.line_num - 1)) + 2}")
+        raise DataError(f"{path}: {where}: {exc}") from None
+    except RaggedRow as exc:  # the header is row 1
+        raise DataError(
+            f"{path}: row {exc.position + 2} has {exc.cells} cells, header has {len(columns)}"
+        ) from None
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:

@@ -249,28 +249,10 @@ def mdlp_cuts(values: np.ndarray, labels: np.ndarray, variable: str = "x") -> Bi
     return BinningScheme.from_cuts(variable, tuple(cuts))
 
 
-def apply_bins(value: float | None, scheme: BinningScheme) -> int | None:
-    """Bin index for a value under the scheme; None passes through.
-
-    value < cut goes left; a value equal to a cut lands in the right bin.
-    Non-finite values raise NonFiniteValue.
-    """
-    if value is None:
-        return None
-    value = float(value)
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"cannot bin non-finite value {value!r}")
-    idx = 0
-    for cut in scheme.cuts:
-        if value < cut:
-            break
-        idx += 1
-    return idx
-
-
 def bin_column(values: np.ndarray, scheme: BinningScheme) -> np.ndarray:
-    """Bin index of each value, as apply_bins gives it one value at a time;
-    a nan value is missing and gets -1. Infinite values raise NonFiniteValue."""
+    """Bin index of each value: value < cut goes left, so a value equal to a
+    cut lands in the right bin. A nan value is missing and gets -1; infinite
+    values raise NonFiniteValue."""
     values = np.asarray(values, dtype=np.float64)
     if np.isinf(values).any():
         raise NonFiniteValue(f"variable {scheme.variable!r}: cannot bin an infinite value")

@@ -112,34 +112,6 @@ def solve_gap(bias: float) -> GapDesign:
     )
 
 
-def confounded_triple(bias: float = 0.12) -> DiscreteNetwork:
-    """Plain three-node confounded network z -> x, z -> y, x -> y.
-
-    States are "0"/"1". At the default bias the CPTs are the canonical
-    family: P(x=1|z) = 0.2/0.8 and P(y=1|x=1,z) = 0.3/0.7, which gives
-    P(y=1|x=1) = 0.62 and P(y=1|do(x=1)) = 0.50.
-    """
-    d = solve_gap(bias)
-    variables = [
-        VariableDef("z", ("0", "1"), kind="static"),
-        VariableDef("x", ("0", "1"), kind="static"),
-        VariableDef("y", ("0", "1"), kind="static"),
-    ]
-    arcs = [("z", "x"), ("z", "y"), ("x", "y")]
-    y_rows = []
-    for x_val, z_val in iter_parent_configs([2, 2]):  # parents (x, z), x most significant
-        a = d.y1_given_x1_z if x_val == 1 else d.y1_given_x0_z
-        p1 = a[z_val]
-        y_rows.append([1 - p1, p1])
-    cpts = {
-        "z": Cpt("z", (), [[1 - d.pz1, d.pz1]]),
-        "x": Cpt("x", ("z",), [[1 - d.x1_given_z[0], d.x1_given_z[0]],
-                               [1 - d.x1_given_z[1], d.x1_given_z[1]]]),
-        "y": Cpt("y", ("x", "z"), y_rows),
-    }
-    return DiscreteNetwork(variables, arcs, cpts)
-
-
 # ---------------------------------------------------------------------------
 # scenario
 # ---------------------------------------------------------------------------

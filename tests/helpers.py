@@ -3,18 +3,28 @@ scalar reference implementations of vectorized code."""
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
 from rdtrial.cohort import MISSING, Cohort, encode_columns, unique_rows
-from rdtrial.errors import DataError, DegenerateTable, UnknownState
+from rdtrial.errors import DataError, DegenerateTable, NonFiniteValue, UnknownState
 from rdtrial.inference import posterior
-from rdtrial.model import Cpt, DbnTemplate, DiscreteNetwork, VariableDef, slice_rank, unroll
+from rdtrial.model import (
+    Cpt,
+    DbnTemplate,
+    DiscreteNetwork,
+    VariableDef,
+    iter_parent_configs,
+    slice_rank,
+    unroll,
+)
+from rdtrial.preprocess import BinningScheme
 from rdtrial.rddo import ScoredRecords
 from rdtrial.stats import EXPECTED_MIN, TestResult
-from rdtrial.synth import ScenarioSpec
+from rdtrial.synth import ScenarioSpec, solve_gap
 
 # Keep the dense joint small enough that the enumeration oracle stays fast;
 # node count and cardinality still span the full supported range.
@@ -145,6 +155,35 @@ def random_evidence(
     return {pool[int(i)]: int(rng.integers(0, net.card(pool[int(i)]))) for i in picked}
 
 
+def confounded_triple(bias: float = 0.12) -> DiscreteNetwork:
+    """Plain three-node confounded network z -> x, z -> y, x -> y, with the
+    CPTs ``synth.solve_gap(bias)`` designs.
+
+    States are "0"/"1". At the default bias the CPTs are the canonical
+    family: P(x=1|z) = 0.2/0.8 and P(y=1|x=1,z) = 0.3/0.7, which gives
+    P(y=1|x=1) = 0.62 and P(y=1|do(x=1)) = 0.50.
+    """
+    d = solve_gap(bias)
+    variables = [
+        VariableDef("z", ("0", "1"), kind="static"),
+        VariableDef("x", ("0", "1"), kind="static"),
+        VariableDef("y", ("0", "1"), kind="static"),
+    ]
+    arcs = [("z", "x"), ("z", "y"), ("x", "y")]
+    y_rows = []
+    for x_val, z_val in iter_parent_configs([2, 2]):  # parents (x, z), x most significant
+        a = d.y1_given_x1_z if x_val == 1 else d.y1_given_x0_z
+        p1 = a[z_val]
+        y_rows.append([1 - p1, p1])
+    cpts = {
+        "z": Cpt("z", (), [[1 - d.pz1, d.pz1]]),
+        "x": Cpt("x", ("z",), [[1 - d.x1_given_z[0], d.x1_given_z[0]],
+                               [1 - d.x1_given_z[1], d.x1_given_z[1]]]),
+        "y": Cpt("y", ("x", "z"), y_rows),
+    }
+    return DiscreteNetwork(variables, arcs, cpts)
+
+
 def chain_network() -> DiscreteNetwork:
     """a -> b -> c with hand-set binary CPTs, for closed-form checks."""
     variables = [
@@ -217,6 +256,26 @@ def reference_chi2_homogeneity(left: np.ndarray, right: np.ndarray) -> TestResul
     dof = int(left.size - 1)
     p = float(_chi2_dist.sf(stat, dof))
     return TestResult(statistic=stat, p_value=p, dof=dof)
+
+
+def apply_bins(value: float | None, scheme: BinningScheme) -> int | None:
+    """Reference for ``preprocess.bin_column``, one value at a time: the bin
+    index for a value under the scheme; None passes through.
+
+    value < cut goes left; a value equal to a cut lands in the right bin.
+    Non-finite values raise NonFiniteValue.
+    """
+    if value is None:
+        return None
+    value = float(value)
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"cannot bin non-finite value {value!r}")
+    idx = 0
+    for cut in scheme.cuts:
+        if value < cut:
+            break
+        idx += 1
+    return idx
 
 
 def sample_power(fp: int, fn: int) -> float:

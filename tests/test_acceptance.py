@@ -30,13 +30,12 @@ from rdtrial.stats import (
     youden_threshold,
 )
 from rdtrial.synth import (
-    confounded_triple,
     make_confounded_scenario,
     sample_cohort,
     true_interventional,
 )
 
-from helpers import random_evidence, random_network, sample_power
+from helpers import confounded_triple, random_evidence, random_network, sample_power
 
 
 def _verdict(label: str, ok: bool, detail: str) -> str:

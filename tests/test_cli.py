@@ -17,7 +17,9 @@ from rdtrial.cli import _PARSER, EFFECTS_HEADER, WINDOWS_HEADER, _build_parser, 
 from rdtrial.cohort import Cohort, read_cohort_csv, write_cohort_csv
 from rdtrial.modelio import load_model, network_to_dict, save_model
 from rdtrial.rddo import load_run_config, parse_run_config
-from rdtrial.synth import confounded_triple, make_confounded_scenario, sample_cohort
+from rdtrial.synth import make_confounded_scenario, sample_cohort
+
+from helpers import confounded_triple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -294,6 +296,38 @@ def test_rddo_cohort_naming_a_column_twice_exits_2(tmp_path, capsys):
                    "--out", str(out)])
     assert rc == 2
     assert "column 'cov_a@0' appears twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_MALFORMED_CELLS = {
+    "long-cell": (b"x" * 200_000, "field larger than field limit (131072)"),
+    "not-utf8": (b"\xff\xfe", "not UTF-8 text: invalid start byte (b'\\xff')"),
+}
+
+
+@pytest.mark.parametrize("command", ["rddo", "learn"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["one-line-records", "quoted-cell"])
+@pytest.mark.parametrize("fault", sorted(_MALFORMED_CELLS))
+def test_malformed_cohort_bytes_exit_2_naming_the_file(tmp_path, capsys, command, quoted, fault):
+    # the third record's first cell is malformed; quoted cells elsewhere,
+    # which leave every label as it is, make the read parse every line
+    _, model_path, cohort_path = _write_scenario(tmp_path, n=30)
+    lines = cohort_path.read_bytes().split(b"\n")
+    cell, message = _MALFORMED_CELLS[fault]
+    lines[3] = b",".join([cell, *lines[3].split(b",")[1:]])
+    if quoted:
+        lines[6] = b'"' + lines[6].replace(b",", b'","') + b'"'
+    cohort_path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    argv = {"rddo": ["rddo", "--model", str(model_path), "--out", str(out)],
+            "learn": ["learn", "--structure", str(model_path), "--out", str(out)]}[command]
+    rc = dispatch([*argv, "--cohort", str(cohort_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: {cohort_path}: ")
+    assert message in err
+    if fault == "long-cell":  # the header is row 1, so the record is row 4
+        assert (": line 4: " if quoted else ": row 4: ") in err
     assert not out.exists()
 
 

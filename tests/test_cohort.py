@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdtrial.cohort import (
@@ -192,6 +193,79 @@ def test_read_errors_match_the_per_cell_reference(tmp_path_factory, header, raw_
         back = read_cohort_csv(path)
         assert back.columns == columns
         assert back.rows == rows
+
+
+# raw file text: a header, then lines drawn from a small pool so that lines
+# repeat, over an alphabet of separators, quotes, line breaks and labels;
+# fragments may hold no line break or several, so records may span lines
+_FRAGMENT = st.lists(st.sampled_from([",", '"', "\r", "\n", "a", "b", "ab"]), max_size=8).map("".join)
+_RAW_FILE = st.tuples(
+    _FRAGMENT,
+    st.lists(_FRAGMENT, min_size=1, max_size=5).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=20)),
+).map(lambda case: case[0] + "".join(case[1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_RAW_FILE)
+@example('a,b,c\nx","abc\ndef",z\n')               # one record on two lines
+@example('a,b,c\nx","abc\ndef"x",z\n')              # ... each line holding two quotes
+@example("a,b\r\n1,2\r\n1,2\r\n,3\r\n1,2\n")         # CRLF, then one LF
+@example("a,b\r1,2\r1,2\r,3\r")                     # CR only
+@example("a,b\n1,2\n\n1,2\n")                       # a blank line in the middle
+@example("a,b\n1,2\n1,2\n\n")                       # a blank line at the end
+@example("a,b\n1,2\n3,4")                           # no final newline
+@example('x,y\n"a",b\na,b\n"a",b\n')                # equal cells, different text
+@example("a,b\n")                                   # header only
+@example("a,b")
+@example("a,b\n1,2\n1,2\n1,2\n2,1\n1\n1,2\n1\n")     # ragged after repeats
+@example("a,a\n1,2\n")
+@example("")
+def test_read_matches_the_per_cell_reference_on_raw_files(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "cohort.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        columns, rows = reference_read_cohort_rows(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_cohort_csv(path)
+        assert str(got.value) == str(exc)
+    else:
+        back = read_cohort_csv(path)
+        assert back.columns == columns
+        assert back.rows == rows
+        assert back.ids.tolist() == list(range(len(rows)))
+
+
+_PLAIN = st.one_of(st.none(), st.sampled_from(["a", "b", " c", "01"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.tuples(*[_PLAIN] * m), min_size=1, max_size=12)))
+def test_read_gives_the_same_cohort_with_and_without_quoted_cells(tmp_path_factory, rows):
+    # quoting every cell leaves the labels as they are but makes the read
+    # parse every line, not only the distinct ones, into Cohort.from_rows
+    columns = tuple(f"c{i}" for i in range(len(rows[0])))
+    cohorts = []
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        path = tmp_path_factory.mktemp("csv") / "cohort.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
+            writer.writerow(columns)
+            writer.writerows([MISSING if cell is None else cell for cell in row] for row in rows)
+        with mock.patch.object(Cohort, "from_rows", wraps=Cohort.from_rows) as from_rows:
+            cohorts.append(read_cohort_csv(path))
+        # a lone missing cell is written quoted, so a one-column file may hold a quote
+        quoted = quoting == csv.QUOTE_ALL or '"' in path.read_text(encoding="utf-8")
+        assert from_rows.call_count == quoted
+    fast, replayed = cohorts
+    assert fast.columns == replayed.columns == columns
+    assert fast.labels == replayed.labels
+    assert fast.codes.dtype == replayed.codes.dtype
+    assert np.array_equal(fast.codes, replayed.codes)
+    assert np.array_equal(fast.ids, replayed.ids)
+    assert fast.rows == _missing_as_none(rows)
 
 
 def test_read_rejects_ragged_and_empty(tmp_path):

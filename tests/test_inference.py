@@ -30,10 +30,10 @@ from rdtrial.inference import (
 )
 from rdtrial.model import Cpt, DiscreteNetwork, VariableDef, mutilate, unroll
 from rdtrial.modelio import network_from_dict, network_to_dict
-from rdtrial.synth import confounded_triple
 
 from helpers import (
     chain_network,
+    confounded_triple,
     disjoint_union,
     panel_template,
     random_evidence,

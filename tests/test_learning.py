@@ -27,9 +27,9 @@ from rdtrial.learning import (
     stratified_split,
 )
 from rdtrial.model import Cpt, DiscreteNetwork, VariableDef
-from rdtrial.synth import confounded_triple, make_confounded_scenario
+from rdtrial.synth import make_confounded_scenario
 
-from helpers import panel_network, random_network
+from helpers import confounded_triple, panel_network, random_network
 
 
 def _xy_structure() -> DiscreteNetwork:

@@ -15,9 +15,8 @@ from rdtrial.modelio import (
     template_from_dict,
     template_to_dict,
 )
-from rdtrial.synth import confounded_triple
 
-from helpers import chain_network, random_network
+from helpers import chain_network, confounded_triple, random_network
 
 
 def test_network_round_trip_exact():

@@ -16,12 +16,13 @@ from rdtrial.errors import DataError, NonFiniteValue
 from rdtrial.preprocess import (
     BinningScheme,
     PlausibilityRange,
-    apply_bins,
     apply_plausibility,
     bin_column,
     mdlp_cuts,
     numeric_column,
 )
+
+from helpers import apply_bins
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,11 @@ from rdtrial.rddo import (
     score_cohort,
     select_window,
 )
-from rdtrial.synth import ScenarioSpec, confounded_triple, make_confounded_scenario, sample_cohort
+from rdtrial.synth import ScenarioSpec, make_confounded_scenario, sample_cohort
 
 from helpers import (
     chain_network,
+    confounded_triple,
     disjoint_union,
     panel_network,
     panel_template,

@@ -14,14 +14,19 @@ from rdtrial.model import Cpt, DiscreteNetwork, VariableDef, has_directed_path, 
 from rdtrial.synth import (
     ScenarioSpec,
     _record_uniforms,
-    confounded_triple,
     make_confounded_scenario,
     sample_cohort,
     solve_gap,
     true_interventional,
 )
 
-from helpers import chain_network, panel_network, random_network, reference_sample_cohort
+from helpers import (
+    chain_network,
+    confounded_triple,
+    panel_network,
+    random_network,
+    reference_sample_cohort,
+)
 
 
 # ---------------------------------------------------------------------------
